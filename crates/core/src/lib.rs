@@ -73,6 +73,7 @@ mod error;
 mod exec;
 mod fault;
 mod footprint;
+mod fx;
 mod havoc;
 mod ids;
 mod layout;
@@ -93,6 +94,7 @@ pub use error::{ExecError, LayoutError, MemoryError};
 pub use exec::{run_schedule, run_sequential, run_solo, ExecConfig, Executor, Outcome, Status};
 pub use fault::FaultPlan;
 pub use footprint::{Footprint, RegisterSet};
+pub use fx::{FxBuildHasher, FxHashMap, FxHasher};
 pub use havoc::{op_result_domain, HAVOC_WIDTH_CAP};
 pub use ids::{ProcessId, RegisterId, WordId};
 pub use layout::{Layout, RegisterSpec};

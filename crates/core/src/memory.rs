@@ -3,7 +3,6 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::bitop::BitOp;
 use crate::error::MemoryError;
 use crate::ids::{RegisterId, WordId};
 use crate::layout::Layout;
@@ -126,6 +125,19 @@ impl Memory {
         &self.values
     }
 
+    /// Overwrites every register with `values`, a snapshot of a memory
+    /// over the same layout — the inverse of [`Memory::snapshot`]. Like
+    /// [`Memory::poke`] this is not an atomic step of any process; unlike
+    /// it, values are copied as they are (a snapshot already fits its
+    /// registers).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values` does not hold exactly one value per register.
+    pub fn load_snapshot(&mut self, values: &[Value]) {
+        self.values.copy_from_slice(values);
+    }
+
     /// Applies one atomic operation, returning its result.
     ///
     /// # Errors
@@ -138,86 +150,106 @@ impl Memory {
     /// Width violations against the atomicity cannot occur here — they are
     /// ruled out at construction.
     pub fn apply(&mut self, op: &Op) -> Result<OpResult, MemoryError> {
-        match op {
-            Op::Read(r) => {
-                let v = self.checked_get(*r)?;
-                Ok(OpResult::Value(v))
+        apply_op(&self.layout, &mut self.values, op)
+    }
+
+    /// Applies one atomic operation to an external register image laid
+    /// out like this memory (one value per register, as
+    /// [`Memory::snapshot`] returns), leaving `self` untouched.
+    ///
+    /// This is [`Memory::apply`] without the memory: the same semantics,
+    /// the same results and the same errors, checked against this
+    /// memory's layout. A model checker that keeps each explored state's
+    /// register values in its own buffer uses it to step the buffer in
+    /// place instead of rebuilding a memory per successor. A rejected
+    /// operation leaves `values` unchanged — in particular no field of a
+    /// rejected packed-word write lands.
+    ///
+    /// # Errors
+    ///
+    /// Exactly those of [`Memory::apply`].
+    ///
+    /// # Panics
+    ///
+    /// May panic if `values` holds fewer values than the layout has
+    /// registers.
+    pub fn apply_in(&self, values: &mut [Value], op: &Op) -> Result<OpResult, MemoryError> {
+        apply_op(&self.layout, values, op)
+    }
+}
+
+/// The semantics of one atomic operation over a register image laid out
+/// by `layout` — the single body behind [`Memory::apply`] and
+/// [`Memory::apply_in`]. Every check runs before the first write, so an
+/// error leaves `values` untouched.
+fn apply_op(layout: &Layout, values: &mut [Value], op: &Op) -> Result<OpResult, MemoryError> {
+    match op {
+        Op::Read(r) => {
+            layout.get(*r).ok_or(MemoryError::UnknownRegister(*r))?;
+            Ok(OpResult::Value(values[r.index()]))
+        }
+        Op::Write(r, v) => {
+            let width = layout
+                .get(*r)
+                .ok_or(MemoryError::UnknownRegister(*r))?
+                .width();
+            if !v.fits(width) {
+                return Err(MemoryError::ValueTooWide {
+                    register: *r,
+                    width,
+                    value: *v,
+                });
             }
-            Op::Write(r, v) => {
-                let width = self
-                    .layout
-                    .get(*r)
-                    .ok_or(MemoryError::UnknownRegister(*r))?
-                    .width();
+            values[r.index()] = *v;
+            Ok(OpResult::None)
+        }
+        Op::Bit(r, bop) => {
+            let spec = layout.get(*r).ok_or(MemoryError::UnknownRegister(*r))?;
+            if spec.width() != 1 {
+                return Err(MemoryError::NotABit {
+                    register: *r,
+                    width: spec.width(),
+                });
+            }
+            let old = values[r.index()].bit();
+            let (new, returned) = bop.apply(old);
+            values[r.index()] = Value::from(new);
+            Ok(match returned {
+                Some(b) => OpResult::Value(Value::from(b)),
+                None => OpResult::None,
+            })
+        }
+        Op::ReadWord(w) => {
+            let members = layout
+                .word_members(*w)
+                .ok_or(MemoryError::UnknownWord(*w))?;
+            let vs = members.iter().map(|&r| values[r.index()]).collect();
+            Ok(OpResult::Values(vs))
+        }
+        Op::WriteWord(w, fields) => {
+            let members = layout
+                .word_members(*w)
+                .ok_or(MemoryError::UnknownWord(*w))?;
+            for &(r, _) in fields {
+                if !members.contains(&r) {
+                    return Err(MemoryError::FieldNotInWord { word: *w, register: r });
+                }
+            }
+            for &(r, v) in fields {
+                let width = layout.width(r);
                 if !v.fits(width) {
                     return Err(MemoryError::ValueTooWide {
-                        register: *r,
+                        register: r,
                         width,
-                        value: *v,
+                        value: v,
                     });
                 }
-                self.values[r.index()] = *v;
-                Ok(OpResult::None)
             }
-            Op::Bit(r, bop) => self.apply_bit(*r, *bop),
-            Op::ReadWord(w) => {
-                let members = self
-                    .layout
-                    .word_members(*w)
-                    .ok_or(MemoryError::UnknownWord(*w))?;
-                let vs = members.iter().map(|&r| self.values[r.index()]).collect();
-                Ok(OpResult::Values(vs))
+            for &(r, v) in fields {
+                values[r.index()] = v;
             }
-            Op::WriteWord(w, fields) => {
-                let members = self
-                    .layout
-                    .word_members(*w)
-                    .ok_or(MemoryError::UnknownWord(*w))?;
-                for &(r, _) in fields {
-                    if !members.contains(&r) {
-                        return Err(MemoryError::FieldNotInWord { word: *w, register: r });
-                    }
-                }
-                for &(r, v) in fields {
-                    let width = self.layout.width(r);
-                    if !v.fits(width) {
-                        return Err(MemoryError::ValueTooWide {
-                            register: r,
-                            width,
-                            value: v,
-                        });
-                    }
-                }
-                for &(r, v) in fields {
-                    self.values[r.index()] = v;
-                }
-                Ok(OpResult::None)
-            }
+            Ok(OpResult::None)
         }
-    }
-
-    fn checked_get(&self, r: RegisterId) -> Result<Value, MemoryError> {
-        self.values
-            .get(r.index())
-            .copied()
-            .ok_or(MemoryError::UnknownRegister(r))
-    }
-
-    fn apply_bit(&mut self, r: RegisterId, bop: BitOp) -> Result<OpResult, MemoryError> {
-        let spec = self.layout.get(r).ok_or(MemoryError::UnknownRegister(r))?;
-        if spec.width() != 1 {
-            return Err(MemoryError::NotABit {
-                register: r,
-                width: spec.width(),
-            });
-        }
-        let old = self.values[r.index()].bit();
-        let (new, returned) = bop.apply(old);
-        self.values[r.index()] = Value::from(new);
-        Ok(match returned {
-            Some(b) => OpResult::Value(Value::from(b)),
-            None => OpResult::None,
-        })
     }
 }
 
@@ -252,6 +284,7 @@ impl fmt::Display for Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitop::BitOp;
 
     fn bit_layout() -> (Layout, RegisterId) {
         let mut layout = Layout::new();

@@ -2,8 +2,8 @@
 
 use cfc_core::metrics::process_complexity;
 use cfc_core::{
-    run_schedule, run_sequential, run_solo, BitOp, ExecConfig, FaultPlan, Layout, Memory, Op,
-    OpResult, Process, ProcessId, RegisterId, Step, Value,
+    run_schedule, run_sequential, run_solo, BitOp, ExecConfig, FaultPlan, Layout, Memory,
+    MemoryError, Op, OpResult, Process, ProcessId, RegisterId, Step, Value, WordId,
 };
 use proptest::prelude::*;
 
@@ -195,4 +195,129 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(exec.steps_taken(ProcessId::new(0)), crash_at.min(n_ops));
     }
+}
+
+/// Registers of [`mixed_memory`] (two more ids, 5 and 6, are unknown).
+const MIXED_REGS: u32 = 5;
+
+/// A layout mixing every register shape `apply` distinguishes: a free
+/// bit, a bit packed with a 4-bit register, a lone 3-bit register and a
+/// 2-bit register packed with it. Words 0 and 1 exist; word 2 does not.
+fn mixed_memory() -> Memory {
+    let mut layout = Layout::new();
+    layout.bit("b0", false);
+    let b1 = layout.bit("b1", true);
+    let x = layout.register("x", 4, 9);
+    let y = layout.register("y", 3, 5);
+    let z = layout.register("z", 2, 1);
+    layout.pack(&[b1, x]).unwrap();
+    layout.pack(&[y, z]).unwrap();
+    Memory::new(layout, 5).unwrap()
+}
+
+/// Any operation over [`mixed_memory`], valid or not: register ids past
+/// the layout, values past every width, bit operations on wide
+/// registers, unknown words and foreign word fields all occur.
+fn arb_any_op() -> impl Strategy<Value = Op> {
+    let reg = (0..MIXED_REGS + 2).prop_map(RegisterId::new);
+    let value = (0u64..40).prop_map(Value::new);
+    prop_oneof![
+        reg.clone().prop_map(Op::Read),
+        (reg.clone(), value.clone()).prop_map(|(r, v)| Op::Write(r, v)),
+        (reg.clone(), arb_bitop()).prop_map(|(r, b)| Op::Bit(r, b)),
+        (0u32..3).prop_map(|w| Op::ReadWord(WordId::new(w))),
+        (0u32..3, prop::collection::vec((reg, value), 0..4))
+            .prop_map(|(w, fields)| Op::WriteWord(WordId::new(w), fields)),
+    ]
+}
+
+/// Steps `memory` with [`Memory::apply`] and a copy of its image with
+/// [`Memory::apply_in`] on an untouched template, asserting both agree
+/// on every result, error and resulting value, and that a rejected
+/// operation changes nothing. Returns the errors seen.
+fn apply_in_agrees(mut memory: Memory, ops: &[Op]) -> Vec<MemoryError> {
+    let template = mixed_memory();
+    let initial = template.snapshot().to_vec();
+    let mut image = memory.snapshot().to_vec();
+    let mut errors = Vec::new();
+    for op in ops {
+        let before = image.clone();
+        let expected = memory.apply(op);
+        let got = template.apply_in(&mut image, op);
+        assert_eq!(got, expected, "{op:?}");
+        assert_eq!(image.as_slice(), memory.snapshot(), "{op:?}");
+        if let Err(e) = got {
+            assert_eq!(
+                image, before,
+                "rejected {op:?} must leave the image untouched"
+            );
+            errors.push(e);
+        }
+    }
+    assert_eq!(
+        template.snapshot(),
+        initial.as_slice(),
+        "apply_in must not touch self"
+    );
+    errors
+}
+
+proptest! {
+    /// `apply_in` on an external image is `apply` on a memory: same
+    /// results, same errors, same resulting values, from arbitrary
+    /// starting values.
+    #[test]
+    fn apply_in_matches_apply(
+        init in prop::collection::vec(0u64..32, 5..6),
+        ops in prop::collection::vec(arb_any_op(), 0..60),
+    ) {
+        let mut memory = mixed_memory();
+        for (i, v) in init.iter().enumerate() {
+            memory.poke(RegisterId::new(i as u32), Value::new(*v));
+        }
+        apply_in_agrees(memory, &ops);
+    }
+}
+
+/// Every error `apply` can raise, raised identically by `apply_in` —
+/// including a packed write rejected after some fields would have fit.
+#[test]
+fn apply_in_matches_apply_on_every_error_kind() {
+    let [b0, b1, x, y, z] = [0, 1, 2, 3, 4].map(RegisterId::new);
+    let ghost = RegisterId::new(6);
+    let ops = [
+        Op::Write(x, Value::new(16)),
+        Op::Bit(y, BitOp::TestAndSet),
+        Op::WriteWord(WordId::new(0), vec![(b1, Value::ONE), (y, Value::ZERO)]),
+        Op::WriteWord(WordId::new(1), vec![(y, Value::new(2)), (z, Value::new(4))]),
+        Op::Read(ghost),
+        Op::Bit(ghost, BitOp::Flip),
+        Op::ReadWord(WordId::new(2)),
+        Op::Write(b0, Value::ONE),
+        Op::ReadWord(WordId::new(1)),
+    ];
+    let errors = apply_in_agrees(mixed_memory(), &ops);
+    let kinds: Vec<&str> = errors
+        .iter()
+        .map(|e| match e {
+            MemoryError::ValueTooWide { .. } => "too-wide",
+            MemoryError::NotABit { .. } => "not-a-bit",
+            MemoryError::FieldNotInWord { .. } => "foreign-field",
+            MemoryError::UnknownRegister(_) => "unknown-register",
+            MemoryError::UnknownWord(_) => "unknown-word",
+            _ => "other",
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        [
+            "too-wide",
+            "not-a-bit",
+            "foreign-field",
+            "too-wide",
+            "unknown-register",
+            "unknown-register",
+            "unknown-word",
+        ]
+    );
 }

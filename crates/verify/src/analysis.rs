@@ -42,11 +42,12 @@
 //!   [`MayAccessMode::Declared`].
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use cfc_core::{op_result_domain, Footprint, Layout, OpResult, Process, RegisterSet, Step};
+use cfc_core::{
+    op_result_domain, Footprint, FxHashMap, Layout, OpResult, Process, RegisterSet, Step,
+};
 
 use crate::telemetry::{self, Phase, Sample};
 
@@ -108,26 +109,13 @@ impl fmt::Display for ExtractError {
 
 impl std::error::Error for ExtractError {}
 
-/// The key a local state is merged under: the [`Process::location`]
-/// projection when the process provides one, the full state otherwise.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum LocKey<P> {
-    Loc(u64),
-    State(P),
-}
-
-fn key_of<P: Process + Clone>(state: &P) -> LocKey<P> {
-    match state.location() {
-        Some(l) => LocKey::Loc(l),
-        None => LocKey::State(state.clone()),
-    }
-}
-
-/// One control location: a representative local state, its current-step
-/// footprint, its successor locations, and the future-access fixpoint.
+/// One control location: a representative local state, its current step
+/// and that step's footprint, its successor locations, and the
+/// future-access fixpoint.
 #[derive(Clone, Debug, PartialEq)]
 struct Location<P> {
     representative: P,
+    step: Step,
     footprint: Footprint,
     successors: Vec<u32>,
     future: RegisterSet,
@@ -150,7 +138,9 @@ struct Location<P> {
 #[derive(Clone, Debug)]
 pub struct ControlAutomaton<P> {
     locations: Vec<Location<P>>,
-    keys: HashMap<LocKey<P>, u32>,
+    /// Location ids by [`Process::location`] key, and by full state for
+    /// states without one.
+    keys: LocationKeys<P>,
     /// Locations reached by a state whose current-step footprint
     /// disagrees with the location's — a broken [`Process::location`]
     /// congruence contract, surfaced by the lint.
@@ -166,26 +156,59 @@ impl<P: PartialEq> PartialEq for ControlAutomaton<P> {
     }
 }
 
+/// The map a local state is merged under: its [`Process::location`]
+/// projection when the process provides one, the full state otherwise.
+/// Two maps rather than one keyed by an enum, so a lookup borrows the
+/// state instead of cloning it into a key.
+#[derive(Clone, Debug)]
+struct LocationKeys<P> {
+    by_loc: FxHashMap<u64, u32>,
+    by_state: FxHashMap<P, u32>,
+}
+
+impl<P: Process + Clone + Eq + Hash> LocationKeys<P> {
+    fn new() -> Self {
+        LocationKeys {
+            by_loc: FxHashMap::default(),
+            by_state: FxHashMap::default(),
+        }
+    }
+
+    fn get(&self, state: &P) -> Option<u32> {
+        match state.location() {
+            Some(l) => self.by_loc.get(&l).copied(),
+            None => self.by_state.get(state).copied(),
+        }
+    }
+
+    fn insert(&mut self, state: &P, id: u32) {
+        match state.location() {
+            Some(l) => self.by_loc.insert(l, id),
+            None => self.by_state.insert(state.clone(), id),
+        };
+    }
+}
+
 impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
     /// Extracts the automaton of the process rooted at `p0`.
     pub fn extract(layout: &Layout, p0: &P) -> Result<Self, ExtractError> {
         let mut auto = ControlAutomaton {
             locations: Vec::new(),
-            keys: HashMap::new(),
+            keys: LocationKeys::new(),
             incongruent: Vec::new(),
         };
         auto.intern(layout, p0.clone())?;
         let mut i = 0;
         while i < auto.locations.len() {
             let rep = auto.locations[i].representative.clone();
-            let results = match rep.current() {
+            let results = match &auto.locations[i].step {
                 Step::Halt => {
                     auto.locations[i].terminal = true;
                     i += 1;
                     continue;
                 }
                 Step::Internal => vec![OpResult::None],
-                Step::Op(op) => op_result_domain(&op, layout)
+                Step::Op(op) => op_result_domain(op, layout)
                     .ok_or(ExtractError::DomainTooWide { location: i as u32 })?,
             };
             for result in results {
@@ -203,34 +226,37 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
     }
 
     fn intern(&mut self, layout: &Layout, state: P) -> Result<u32, ExtractError> {
-        let fp = Footprint::of_step(&state.current(), layout);
-        match self.keys.entry(key_of(&state)) {
-            Entry::Occupied(e) => {
-                let id = *e.get();
-                if fp != self.locations[id as usize].footprint
-                    && !self.incongruent.iter().any(|(l, f)| *l == id && *f == fp)
-                {
-                    self.incongruent.push((id, fp));
-                }
-                Ok(id)
+        let step = state.current();
+        if let Some(id) = self.keys.get(&state) {
+            let loc = &self.locations[id as usize];
+            // The common case: the merged state takes the representative's
+            // very step. Equal steps have equal footprints, so the
+            // congruence check below could find nothing.
+            if step == loc.step {
+                return Ok(id);
             }
-            Entry::Vacant(e) => {
-                if self.locations.len() >= MAX_LOCATIONS {
-                    return Err(ExtractError::TooManyLocations);
-                }
-                let id = self.locations.len() as u32;
-                e.insert(id);
-                self.locations.push(Location {
-                    representative: state,
-                    footprint: fp,
-                    successors: Vec::new(),
-                    future: RegisterSet::new(),
-                    future_rw: Footprint::default(),
-                    terminal: false,
-                });
-                Ok(id)
+            let fp = Footprint::of_step(&step, layout);
+            if fp != loc.footprint && !self.incongruent.iter().any(|(l, f)| *l == id && *f == fp)
+            {
+                self.incongruent.push((id, fp));
             }
+            return Ok(id);
         }
+        if self.locations.len() >= MAX_LOCATIONS {
+            return Err(ExtractError::TooManyLocations);
+        }
+        let id = self.locations.len() as u32;
+        self.keys.insert(&state, id);
+        self.locations.push(Location {
+            representative: state,
+            footprint: Footprint::of_step(&step, layout),
+            step,
+            successors: Vec::new(),
+            future: RegisterSet::new(),
+            future_rw: Footprint::default(),
+            terminal: false,
+        });
+        Ok(id)
     }
 
     /// The future-access fixpoint: `future(l) = fp(l) ∪ ⋃ future(succ)`,
@@ -280,7 +306,7 @@ impl<P: Process + Clone + Eq + Hash> ControlAutomaton<P> {
 
     /// The automaton location a local state resolves to, if any.
     pub fn location_of(&self, state: &P) -> Option<u32> {
-        self.keys.get(&key_of(state)).copied()
+        self.keys.get(state)
     }
 
     /// The future-access set of a local state: every register any
@@ -441,7 +467,7 @@ where
             });
         }
         let mut declared = RegisterSet::new();
-        let mut fingerprints: HashMap<u64, u32> = HashMap::new();
+        let mut fingerprints: FxHashMap<u64, u32> = FxHashMap::default();
         for id in 0..auto.len() as u32 {
             let rep = auto.representative(id);
             declared.clear();
@@ -505,8 +531,8 @@ where
 /// hook.
 #[derive(Clone, Debug)]
 pub struct FutureIndex<P> {
-    by_loc: HashMap<u64, FutureAccess>,
-    by_state: HashMap<P, FutureAccess>,
+    by_loc: FxHashMap<u64, FutureAccess>,
+    by_state: FxHashMap<P, FutureAccess>,
 }
 
 /// One index entry: the union future-access set (consulted by
@@ -514,9 +540,9 @@ pub struct FutureIndex<P> {
 /// read/write split retained (consulted by [`MayAccessMode::Dynamic`]).
 /// Invariant: `split.reads ∪ split.writes == union`.
 #[derive(Clone, Debug, Default)]
-struct FutureAccess {
-    union: RegisterSet,
-    split: Footprint,
+pub(crate) struct FutureAccess {
+    pub(crate) union: RegisterSet,
+    pub(crate) split: Footprint,
 }
 
 impl FutureAccess {
@@ -531,8 +557,8 @@ impl<P: Process + Clone + Eq + Hash> FutureIndex<P> {
     /// Builds the index over a system's initial processes.
     pub fn build(layout: &Layout, procs: &[P]) -> FutureIndex<P> {
         let mut idx = FutureIndex {
-            by_loc: HashMap::new(),
-            by_state: HashMap::new(),
+            by_loc: FxHashMap::default(),
+            by_state: FxHashMap::default(),
         };
         for p in procs {
             // Identical processes (naming models share one program)
@@ -581,7 +607,9 @@ impl<P: Process + Clone + Eq + Hash> FutureIndex<P> {
         self.entry_of(state).map(|e| &e.split)
     }
 
-    fn entry_of(&self, state: &P) -> Option<&FutureAccess> {
+    /// The index entry a local state resolves to: both views at once,
+    /// for callers that need the union and the split of one state.
+    pub(crate) fn entry_of(&self, state: &P) -> Option<&FutureAccess> {
         match state.location() {
             Some(l) => self.by_loc.get(&l),
             None => self.by_state.get(state),
@@ -726,6 +754,62 @@ mod tests {
         let idx = FutureIndex::build(&layout, std::slice::from_ref(&p));
         assert_eq!(idx.future_split_of(&p).unwrap(), split);
         assert_eq!(idx.future_of(&p).unwrap(), auto.future_of(&p).unwrap());
+    }
+
+    /// Reads `flag`, then writes a one either to `flag` (flag was set)
+    /// or to `out` — or, with `same_register`, writes the flag's value
+    /// to `out` — under a location hook keyed on the pc alone, which
+    /// merges the two post-read states.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct Merger {
+        flag: RegisterId,
+        out: RegisterId,
+        same_register: bool,
+        pc: u8,
+        seen: bool,
+    }
+
+    impl Process for Merger {
+        fn current(&self) -> Step {
+            match (self.pc, self.same_register) {
+                (0, _) => Step::Op(Op::Read(self.flag)),
+                (1, true) => Step::Op(Op::Write(self.out, Value::from(self.seen))),
+                (1, false) if self.seen => Step::Op(Op::Write(self.flag, Value::ONE)),
+                (1, false) => Step::Op(Op::Write(self.out, Value::ONE)),
+                _ => Step::Halt,
+            }
+        }
+        fn advance(&mut self, result: OpResult) {
+            if self.pc == 0 {
+                self.seen = result.bit();
+            }
+            self.pc += 1;
+        }
+        fn location(&self) -> Option<u64> {
+            Some(u64::from(self.pc))
+        }
+    }
+
+    #[test]
+    fn merged_states_with_different_ops_are_incongruent() {
+        let (layout, b) = setup();
+        let merger = |same_register| Merger {
+            flag: b.flag,
+            out: b.out,
+            same_register,
+            pc: 0,
+            seen: false,
+        };
+        // Different registers behind one location: the states' steps
+        // differ and so do their footprints — a broken hook.
+        let report = lint_model(&layout, &[merger(false)]);
+        assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+        assert_eq!(report.findings[0].kind, FindingKind::IncongruentLocation);
+        assert_eq!(report.findings[0].location, 1);
+        // Different written values, same register: the steps differ but
+        // the footprints agree, so the location is congruent.
+        let report = lint_model(&layout, &[merger(true)]);
+        assert!(report.is_clean(), "{:?}", report.findings);
     }
 
     #[test]

@@ -94,7 +94,9 @@ pub(crate) fn canonicalize<P: Process + Clone + Hash>(
     let mut canon = node.clone();
     for class in group.classes() {
         let mut order: Vec<usize> = class.clone();
-        order.sort_by_key(|&i| state_fingerprint(&node.procs[i], node.status[i]));
+        // Each fingerprint is computed once (SipHash is not cheap), and
+        // the sort is stable: ties keep their class order.
+        order.sort_by_cached_key(|&i| state_fingerprint(&node.procs[i], node.status[i]));
         for (&dst, &src) in class.iter().zip(order.iter()) {
             if dst != src {
                 canon.procs[dst] = node.procs[src].clone();
@@ -133,22 +135,13 @@ pub(crate) fn expand_step<P: Process + Clone>(
                     );
                 }
             }
-            let mut mem = rebuild_memory(template, &next.values);
-            let result = mem.apply(&op).map_err(ExploreError::Memory)?;
-            next.values = mem.snapshot().to_vec();
+            let result = template
+                .apply_in(&mut next.values, &op)
+                .map_err(ExploreError::Memory)?;
             next.procs[i].advance(result);
         }
     }
     Ok(next)
-}
-
-/// A memory instance with `values` poked over the layout of `template`.
-pub(crate) fn rebuild_memory(template: &Memory, values: &[Value]) -> Memory {
-    let mut mem = template.clone();
-    for (i, v) in values.iter().enumerate() {
-        mem.poke(cfc_core::RegisterId::new(i as u32), *v);
-    }
-    mem
 }
 
 /// Which property the search preserves — this decides how aggressive the
@@ -225,18 +218,33 @@ pub(crate) enum Expansion<P> {
 /// `None` when the state must be fully expanded.
 type AmpleChoice<P> = Option<(usize, Option<Node<P>>)>;
 
+/// One process's future accesses at the state under selection,
+/// resolved once per state.
+#[derive(Default)]
+struct FutureSets {
+    /// Whether an over-approximation is known at all (an unknown one
+    /// disqualifies every candidate that would need it).
+    known: bool,
+    /// The union of every register the process may still access.
+    set: RegisterSet,
+    /// Whether `split` holds the automaton's read/write split (dynamic
+    /// mode, when the future index resolves the process).
+    has_split: bool,
+    split: Footprint,
+}
+
 /// Reused per-state scratch of the ample selection: future-access sets
 /// and the successors computed while testing candidates (handed to the
 /// full expansion on fallback, so no transition is computed twice).
 struct AmpleScratch<P> {
-    may: Vec<(bool, RegisterSet)>,
+    may: Vec<FutureSets>,
     succ: Vec<Option<Node<P>>>,
 }
 
 impl<P> AmpleScratch<P> {
     fn new(n: usize) -> Self {
         AmpleScratch {
-            may: (0..n).map(|_| (false, RegisterSet::new())).collect(),
+            may: (0..n).map(|_| FutureSets::default()).collect(),
             succ: (0..n).map(|_| None).collect(),
         }
     }
@@ -246,6 +254,9 @@ impl<P> AmpleScratch<P> {
 /// group, the reduction configuration, and the ample-selection scratch.
 pub(crate) struct Engine<P> {
     template: Memory,
+    /// The memory handed to per-state checks, reloaded from each state's
+    /// register values in turn.
+    view: Memory,
     symmetry: SymmetryGroup,
     config: ExploreConfig,
     use_sym: bool,
@@ -272,6 +283,7 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         );
         let use_sym = config.symmetry && !symmetry.is_trivial();
         Engine {
+            view: memory.clone(),
             template: memory,
             symmetry,
             config,
@@ -317,9 +329,11 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         self.use_sym
     }
 
-    /// A [`Memory`] carrying `node`'s register values.
-    pub(crate) fn memory_of(&self, node: &Node<P>) -> Memory {
-        rebuild_memory(&self.template, &node.values)
+    /// A [`Memory`] carrying `node`'s register values (valid until the
+    /// next call).
+    pub(crate) fn memory_of(&mut self, node: &Node<P>) -> &Memory {
+        self.view.load_snapshot(&node.values);
+        &self.view
     }
 
     /// The canonical (orbit-representative) form of `node` — `node`
@@ -427,20 +441,29 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         // the reused scratch buffers. Under `MayAccessMode::Automaton`
         // the per-location sets of the solo control automata take
         // precedence (sharper and known for more states); any state the
-        // index cannot resolve falls back to the declared hook.
+        // index cannot resolve falls back to the declared hook. Dynamic
+        // mode also keeps the read/write split of the same index entry.
         let future = self.future.as_ref();
+        let dynamic = self.config.may_access == MayAccessMode::Dynamic;
         for &j in runnable {
-            let (known, set) = &mut self.scratch.may[j];
-            set.clear();
-            *known = match future.and_then(|f| f.future_of(&node.procs[j])) {
-                Some(fut) => {
-                    set.union_with(fut);
+            let f = &mut self.scratch.may[j];
+            f.set.clear();
+            f.has_split = false;
+            f.known = match future.and_then(|idx| idx.entry_of(&node.procs[j])) {
+                Some(entry) => {
+                    f.set.union_with(&entry.union);
+                    if dynamic {
+                        f.split.reads.clear();
+                        f.split.reads.union_with(&entry.split.reads);
+                        f.split.writes.clear();
+                        f.split.writes.union_with(&entry.split.writes);
+                        f.has_split = true;
+                    }
                     true
                 }
-                None => node.procs[j].may_access(set),
+                None => node.procs[j].may_access(&mut f.set),
             };
         }
-        let dynamic = self.config.may_access == MayAccessMode::Dynamic;
         let layout = self.template.layout();
         'candidates: for &i in runnable {
             let step = node.procs[i].current();
@@ -459,19 +482,14 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
                     // independence against the union of a process's
                     // future footprints implies pairwise independence
                     // with each future step.
-                    if dynamic {
-                        if let Some(split) =
-                            future.and_then(|f| f.future_split_of(&node.procs[j]))
-                        {
-                            if fp.independent(split) {
-                                continue;
-                            }
-                            continue 'candidates;
-                        }
-                    }
-                    match &self.scratch.may[j] {
-                        (true, set) if !fp.touches(set) => {}
-                        _ => continue 'candidates,
+                    let f = &self.scratch.may[j];
+                    let independent = if f.has_split {
+                        fp.independent(&f.split)
+                    } else {
+                        f.known && !fp.touches(&f.set)
+                    };
+                    if !independent {
+                        continue 'candidates;
                     }
                 }
             }
@@ -951,7 +969,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 let view = StateView {
                     procs: &node.procs,
                     status: &node.status,
-                    memory: &mem,
+                    memory: mem,
                 };
                 if let Err(message) = state_check(&view) {
                     return Err(ExploreError::Violation(Box::new(Violation {
@@ -972,7 +990,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     let view = StateView {
                         procs: &node.procs,
                         status: &node.status,
-                        memory: &mem,
+                        memory: mem,
                     };
                     if let Err(message) = terminal_check(&view) {
                         return Err(ExploreError::Violation(Box::new(Violation {
@@ -1136,7 +1154,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             &root_canon,
             false,
         );
-        let (root_id, root_fresh) = store.intern(root_canon);
+        let (root_id, root_fresh) = store.intern(&root_canon);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
@@ -1222,7 +1240,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     }
                     None => (succ, false),
                 };
-                let (to, fresh) = g.store.intern(canon);
+                let (to, fresh) = g.store.intern(&canon);
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     g.terminal.push(false);

@@ -251,6 +251,48 @@ mod tests {
         }
     }
 
+    /// The longest probe (matcher calls) any stored value needs.
+    fn longest_probe(h: &Harness) -> usize {
+        h.records
+            .iter()
+            .map(|&v| {
+                let mut calls = 0;
+                h.index.find((h.digest)(v), |id| {
+                    calls += 1;
+                    h.records[id as usize] == v
+                });
+                calls
+            })
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn store_digests_of_sequential_records_keep_probe_runs_short() {
+        // The packed store's digest over 2^16 sequential fixed-width
+        // records — counters written little-endian up front (the varying
+        // bits land low in the first word) and big-endian at the end of
+        // a longer record (they land high in the last word, which only
+        // the digest's final avalanche carries down to the masked low
+        // bits) — must spread like random digests: short probe runs.
+        fn low(v: u64) -> u64 {
+            crate::store::digest(&v.to_le_bytes()[..6])
+        }
+        fn high(v: u64) -> u64 {
+            let mut rec = [0xa5u8; 12];
+            rec[8..].copy_from_slice(&(v as u32).to_be_bytes());
+            crate::store::digest(&rec)
+        }
+        for digest in [low as fn(u64) -> u64, high] {
+            let mut h = Harness::new(digest);
+            for v in 0..1u64 << 16 {
+                assert!(h.intern(v).1);
+            }
+            let longest = longest_probe(&h);
+            assert!(longest <= 48, "longest probe run {longest}");
+        }
+    }
+
     #[test]
     fn heap_bytes_tracks_the_slot_array() {
         let h = Harness::new(|v| v);

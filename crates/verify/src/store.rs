@@ -37,16 +37,16 @@
 //! (`tests/packed_equiv.rs`) and as a fallback surface.
 
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use cfc_core::{bits_for, Layout, LayoutCodec, Process, StateCodec, StateReader, StateWriter,
-    Status, Value};
+use cfc_core::{
+    bits_for, FxBuildHasher, FxHashMap, FxHasher, Layout, LayoutCodec, Process, StateCodec,
+    StateReader, StateWriter, Status, Value,
+};
 
 use crate::graph::Node;
 use crate::index::OpenIndex;
@@ -110,7 +110,7 @@ enum ProcMode<P> {
     /// states, not with the number of global states.
     Interned {
         table: Vec<P>,
-        lookup: HashMap<P, u32>,
+        lookup: FxHashMap<P, u32>,
     },
 }
 
@@ -154,7 +154,7 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
             },
             None => ProcMode::Interned {
                 table: Vec::new(),
-                lookup: HashMap::new(),
+                lookup: FxHashMap::default(),
             },
         };
         let proc_bits = match &procs {
@@ -215,12 +215,18 @@ impl<P: Process + Clone + Eq + Hash> NodeCodec<P> {
             }
             ProcMode::Interned { table, lookup } => {
                 for p in &node.procs {
-                    let slot = *lookup.entry(p.clone()).or_insert_with(|| {
-                        let id = u32::try_from(table.len())
-                            .expect("more than u32::MAX distinct local states");
-                        table.push(p.clone());
-                        id
-                    });
+                    // Probe before cloning: almost every local state is
+                    // already interned, and only a miss needs copies.
+                    let slot = match lookup.get(p) {
+                        Some(&slot) => slot,
+                        None => {
+                            let id = u32::try_from(table.len())
+                                .expect("more than u32::MAX distinct local states");
+                            table.push(p.clone());
+                            lookup.insert(p.clone(), id);
+                            id
+                        }
+                    };
                     w.push_bits(u64::from(slot), 32);
                 }
             }
@@ -498,7 +504,7 @@ enum IndexKind {
     Open(OpenIndex),
     Chained {
         /// Digest → head record id of an intrusive chain through `next`.
-        heads: HashMap<u64, u32>,
+        heads: FxHashMap<u64, u32>,
         next: Vec<u32>,
     },
 }
@@ -508,7 +514,7 @@ impl DigestIndex {
         let kind = match mode {
             IndexMode::Open => IndexKind::Open(OpenIndex::new()),
             IndexMode::Chained => IndexKind::Chained {
-                heads: HashMap::new(),
+                heads: FxHashMap::default(),
                 next: Vec::new(),
             },
         };
@@ -596,7 +602,7 @@ enum Firsts<P> {
 enum Backend<P> {
     Boxed {
         nodes: Vec<Node<P>>,
-        buckets: HashMap<u64, Vec<u32>>,
+        buckets: FxHashMap<u64, Vec<u32>>,
         /// Estimated heap bytes per boxed node (struct + spines), used so
         /// `arena_bytes` is comparable across backends.
         bytes_per_node: usize,
@@ -631,9 +637,12 @@ impl<P> std::fmt::Debug for NodeStore<P> {
     }
 }
 
-fn digest(bytes: &[u8]) -> u64 {
-    let mut h = DefaultHasher::new();
-    bytes.hash(&mut h);
+/// The record digest the index probes by: the Fx hash of the record
+/// bytes. Records are fixed-width and every hit is confirmed by byte
+/// comparison, so no length prefix and no keyed hash are needed.
+pub(crate) fn digest(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
     h.finish()
 }
 
@@ -716,7 +725,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
         let backend = match mode {
             StoreMode::Boxed => Backend::Boxed {
                 nodes: Vec::new(),
-                buckets: HashMap::new(),
+                buckets: FxHashMap::default(),
                 bytes_per_node: boxed_bytes_per_node(root),
             },
             StoreMode::Packed => {
@@ -771,20 +780,20 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
     }
 
     /// Interns `canon`, returning its dense id and whether it was fresh.
-    pub(crate) fn intern(&mut self, canon: Node<P>) -> (u32, bool) {
+    pub(crate) fn intern(&mut self, canon: &Node<P>) -> (u32, bool) {
         match &mut self.backend {
             Backend::Boxed { nodes, buckets, .. } => {
-                let bucket = buckets.entry(node_hash(&canon)).or_default();
+                let bucket = buckets.entry(node_hash(canon)).or_default();
                 match bucket
                     .iter()
                     .copied()
-                    .find(|&id| nodes[id as usize] == canon)
+                    .find(|&id| nodes[id as usize] == *canon)
                 {
                     Some(id) => (id, false),
                     None => {
                         let id = nodes.len() as u32;
                         bucket.push(id);
-                        nodes.push(canon);
+                        nodes.push(canon.clone());
                         (id, true)
                     }
                 }
@@ -797,7 +806,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
                 probe,
             } => {
                 let mut rec = scratch.borrow_mut();
-                codec.encode_mut(&canon, &mut rec);
+                codec.encode_mut(canon, &mut rec);
                 if let Some(id) = index.find(arena, probe, &rec) {
                     return (id, false);
                 }
@@ -810,7 +819,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
                 if cfg!(debug_assertions) && self.debug_checked < 1024 {
                     self.debug_checked += 1;
                     debug_assert!(
-                        codec.decode(&rec) == canon,
+                        codec.decode(&rec) == *canon,
                         "packed store round-trip mismatch: \
                          the codec is not injective for this system"
                     );
@@ -831,7 +840,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
         canon: &Node<P>,
         concrete: Option<&Node<P>>,
     ) -> (u32, VisitOutcome) {
-        let (id, fresh) = self.intern(canon.clone());
+        let (id, fresh) = self.intern(canon);
         let Some(firsts) = &mut self.firsts else {
             let outcome = if fresh {
                 VisitOutcome::Fresh
@@ -940,9 +949,7 @@ impl<P: Process + Clone + Eq + Hash> NodeStore<P> {
 }
 
 fn node_hash<P: Hash>(node: &Node<P>) -> u64 {
-    let mut h = DefaultHasher::new();
-    node.hash(&mut h);
-    h.finish()
+    FxBuildHasher::default().hash_one(node)
 }
 
 #[cfg(test)]
@@ -1035,12 +1042,12 @@ mod tests {
             let x = node([1, 2], 3, 4, 1);
             let y = node([2, 1], 3, 4, 1);
             assert!(!s.contains(&x));
-            let (idx, fresh) = s.intern(x.clone());
+            let (idx, fresh) = s.intern(&x);
             assert!(fresh);
-            let (idx2, fresh2) = s.intern(x.clone());
+            let (idx2, fresh2) = s.intern(&x);
             assert!(!fresh2);
             assert_eq!(idx, idx2);
-            let (idy, fresh3) = s.intern(y.clone());
+            let (idy, fresh3) = s.intern(&y);
             assert!(fresh3);
             assert_ne!(idx, idy);
             assert!(s.contains(&x));
@@ -1055,8 +1062,8 @@ mod tests {
         let mut packed = store(StoreMode::Packed, None, false);
         let mut boxed = store(StoreMode::Boxed, None, false);
         for c in 0..100u8 {
-            packed.intern(node([c, c], 1, 2, 0));
-            boxed.intern(node([c, c], 1, 2, 0));
+            packed.intern(&node([c, c], 1, 2, 0));
+            boxed.intern(&node([c, c], 1, 2, 0));
         }
         // 2 statuses (4b) + crash (2b) + values (8b) + 2 hook procs
         // (16b) = 30 bits -> 4 bytes/record.
@@ -1081,7 +1088,7 @@ mod tests {
         };
         // A node with unseen local states is provably absent.
         assert!(!s.contains(&x));
-        let (id, fresh) = s.intern(x.clone());
+        let (id, fresh) = s.intern(&x);
         assert!(fresh);
         assert_eq!(s.node(id), x);
         assert!(s.contains(&x));
@@ -1111,7 +1118,7 @@ mod tests {
                     u64::from(i % 32),
                     i % 3,
                 );
-                let (id, fresh) = s.intern(x);
+                let (id, fresh) = s.intern(&x);
                 assert!(fresh, "all states distinct ({imode:?})");
                 ids.push(id);
             }
@@ -1119,7 +1126,7 @@ mod tests {
             // Reads and membership still hit spilled records exactly.
             let probe = node([77, 0], u64::from(77u32 % 8), u64::from(77u32 % 32), 77 % 3);
             assert!(s.contains(&probe));
-            let (_, fresh) = s.intern(probe);
+            let (_, fresh) = s.intern(&probe);
             assert!(!fresh, "reinterning a spilled state must dedupe ({imode:?})");
             assert_eq!(s.len(), 60_000);
             let decoded = s.node(ids[123]);
@@ -1156,7 +1163,7 @@ mod tests {
         let mut chained = store_with(StoreMode::Packed, IndexMode::Chained, None, false);
         for i in 0..3_000u32 {
             let x = node([(i % 251) as u8, (i / 251) as u8], u64::from(i % 8), 0, 0);
-            assert_eq!(open.intern(x.clone()), chained.intern(x));
+            assert_eq!(open.intern(&x), chained.intern(&x));
         }
         assert_eq!(open.len(), chained.len());
         assert!(

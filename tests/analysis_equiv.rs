@@ -21,12 +21,22 @@
 
 mod common;
 
-use cfc::mutex::{Bakery, LamportFast, PetersonTwo, Splitter, Tournament};
-use cfc::naming::{TafTree, TasScan};
+use std::hash::Hash;
+
+use cfc::core::{op_result_domain, Footprint, Layout, OpResult, Process, ProcessId, Step};
+use cfc::mutex::mutation::{
+    BakeryMutation, PetersonMutation, TasSpinMutation, TournamentMutation,
+};
+use cfc::mutex::{
+    Bakery, DetectionAlgorithm, LamportFast, MutexAlgorithm, MutexClient, PetersonTwo, Splitter,
+    TasSpin, Tournament,
+};
+use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
 use cfc::verify::{
     check_detection_safety, check_mutex_progress, check_mutex_safety, check_mutex_starvation,
-    check_naming_lockout, check_naming_progress, check_naming_uniqueness, ExploreConfig,
-    ExploreStats, LivenessReport, LivenessVerdict, MayAccessMode,
+    check_naming_lockout, check_naming_progress, check_naming_uniqueness, lint_model,
+    ControlAutomaton, ExploreConfig, ExploreStats, FindingKind, LivenessReport, LivenessVerdict,
+    MayAccessMode,
 };
 
 fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
@@ -207,4 +217,125 @@ fn exhaustive_tournament_seven_automaton() {
         declared.states
     );
     assert!(automaton.states > 100_000, "unexpectedly small exploration");
+}
+
+// ---------------------------------------------------------------------
+// The congruence lint against an exhaustive reference.
+// ---------------------------------------------------------------------
+
+/// Every congruence violation of `p`'s automaton, found the exhaustive
+/// way: re-step every location's representative over its whole havoc
+/// domain and compare *every* successor's footprint with its location's
+/// — no shortcut for successors that take the representative's own
+/// step. Returned in the order the lint reports them (by location, then
+/// discovery), as `(location, "offender <footprint>")`.
+fn reference_incongruence<P>(layout: &Layout, p: &P) -> Vec<(u32, String)>
+where
+    P: Process + Clone + Eq + Hash,
+{
+    let Ok(auto) = ControlAutomaton::extract(layout, p) else {
+        return Vec::new();
+    };
+    let mut found: Vec<(u32, Footprint)> = Vec::new();
+    for id in 0..auto.len() as u32 {
+        let rep = auto.representative(id);
+        let results = match rep.current() {
+            Step::Halt => continue,
+            Step::Internal => vec![OpResult::None],
+            Step::Op(op) => op_result_domain(&op, layout).expect("extracted, so enumerable"),
+        };
+        for result in results {
+            let mut succ = rep.clone();
+            succ.advance(result);
+            let to = auto.location_of(&succ).expect("every successor is interned");
+            let fp = Footprint::of_step(&succ.current(), layout);
+            if fp != *auto.footprint(to) && !found.iter().any(|(l, f)| *l == to && *f == fp) {
+                found.push((to, fp));
+            }
+        }
+    }
+    found.sort_by_key(|(l, _)| *l);
+    found
+        .into_iter()
+        .map(|(l, fp)| (l, format!("offender {fp:?}")))
+        .collect()
+}
+
+/// Lints `procs` and asserts every process's `IncongruentLocation`
+/// findings are exactly the reference's; returns the findings count.
+fn lint_against_reference<P>(label: &str, layout: &Layout, procs: &[P]) -> usize
+where
+    P: Process + Clone + Eq + Hash,
+{
+    let report = lint_model(layout, procs);
+    for (pi, p) in procs.iter().enumerate() {
+        let lint: Vec<_> = report
+            .findings
+            .iter()
+            .filter(|f| f.process == pi && f.kind == FindingKind::IncongruentLocation)
+            .collect();
+        let reference = reference_incongruence(layout, p);
+        assert_eq!(
+            lint.len(),
+            reference.len(),
+            "{label} process {pi}: {lint:?} vs {reference:?}"
+        );
+        for (f, (loc, offender)) in lint.iter().zip(&reference) {
+            assert_eq!(f.location, *loc, "{label} process {pi}");
+            assert!(f.detail.ends_with(offender.as_str()), "{label} process {pi}: {f}");
+        }
+    }
+    report.findings.len()
+}
+
+/// Mutex clients `0..n`, one trip, one critical-section step each.
+fn clients<A: MutexAlgorithm>(alg: &A, n: u32) -> Vec<MutexClient<A::Lock>> {
+    (0..n).map(|i| alg.client_with_cs(ProcessId::new(i), 1, 1)).collect()
+}
+
+/// The lint's findings on every family of `examples/lint_models.rs` and
+/// on the hook and algorithm mutants of `tests/checker_mutations.rs`
+/// equal the exhaustive reference's, and their counts are pinned: the
+/// congruence check's shortcut (equal steps, so equal footprints) must
+/// never change what the lint reports.
+#[test]
+fn lint_findings_match_the_exhaustive_congruence_reference() {
+    let peterson = PetersonTwo::new();
+    let bakery = Bakery::new(3);
+    let tournament = Tournament::new(3, 1);
+    let scan = TasScan::new(4);
+    let taf = TafTree::new(4).expect("power-of-two size");
+    let splitter = Splitter::new(3);
+    let splitters: Vec<_> = (0..3).map(|i| splitter.process(ProcessId::new(i))).collect();
+    let families = [
+        lint_against_reference("peterson-two", &peterson.layout(), &clients(&peterson, 2)),
+        lint_against_reference("bakery", &bakery.layout(), &clients(&bakery, 3)),
+        lint_against_reference("tournament", &tournament.layout(), &clients(&tournament, 3)),
+        lint_against_reference("tas-scan", &scan.layout(), &scan.processes()),
+        lint_against_reference("taf-tree", &taf.layout(), &taf.processes()),
+        lint_against_reference("splitter", &splitter.layout(), &splitters),
+    ];
+    assert_eq!(families, [0; 6], "every modeled family lints clean");
+
+    let mut mutants = Vec::new();
+    for m in [
+        BakeryMutation::DropDoorway,
+        BakeryMutation::FcfsOffByOne,
+        BakeryMutation::SkipExitReset,
+        BakeryMutation::UnderReportScan,
+    ] {
+        let alg = Bakery::new(3).with_mutation(m);
+        mutants.push(lint_against_reference(&format!("{m:?}"), &alg.layout(), &clients(&alg, 3)));
+    }
+    for m in [PetersonMutation::TurnWriteFirst, PetersonMutation::ExitWrongFlag] {
+        let alg = PetersonTwo::new().with_mutation(m);
+        mutants.push(lint_against_reference(&format!("{m:?}"), &alg.layout(), &clients(&alg, 2)));
+    }
+    let alg = Tournament::new(4, 1).with_mutation(TournamentMutation::SkipRootLevel);
+    mutants.push(lint_against_reference("skip-root", &alg.layout(), &clients(&alg, 4)));
+    let alg = TasSpin::new(2).with_mutation(TasSpinMutation::InvertedTest);
+    mutants.push(lint_against_reference("inverted-tas", &alg.layout(), &clients(&alg, 2)));
+    // Only the under-reported scan lies in a hook (twelve uncovered
+    // future accesses); the algorithm mutants keep honest hooks.
+    assert_eq!(mutants, [0, 0, 0, 12, 0, 0, 0, 0]);
 }
