@@ -6,7 +6,7 @@ use cfc_core::{Process, Section, Status, Value};
 use cfc_mutex::{DetectionAlgorithm, MutexAlgorithm};
 use cfc_naming::NamingAlgorithm;
 
-use crate::explore::{explore_sym, ExploreConfig, ExploreError, ExploreStats, StateView};
+use crate::explore::{explore, ExploreConfig, ExploreError, ExploreStats, StateView};
 
 /// Exhaustively verifies mutual exclusion: across **every** interleaving
 /// of `trips`-trip clients, no two processes are simultaneously in their
@@ -33,7 +33,7 @@ where
     let clients: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.client_with_cs(cfc_core::ProcessId::new(i), trips, 1))
         .collect();
-    explore_sym(
+    explore(
         memory,
         clients,
         &alg.symmetry(),
@@ -80,7 +80,7 @@ where
         .collect();
     // Detection processes carry their pid and write it into the splitter
     // registers, so no two are interchangeable: the trivial group.
-    explore_sym(
+    explore(
         memory,
         procs,
         &cfc_core::SymmetryGroup::trivial(alg.n()),
@@ -117,7 +117,7 @@ where
     let memory = memory_of(alg.memory())?;
     let n = alg.n();
     let procs = alg.processes();
-    explore_sym(
+    explore(
         memory,
         procs,
         &alg.symmetry(),
@@ -148,7 +148,7 @@ where
 /// Runs on the reduced state graph when `config` asks for it: symmetry
 /// reduction uses the algorithm's declared [`MutexAlgorithm::symmetry`]
 /// group, partial-order reduction the clients' footprints — see
-/// [`crate::explore::check_progress_sym`] for the soundness argument and
+/// [`crate::explore::check_progress`] for the soundness argument and
 /// crash-budget semantics (crashed clients count as quiesced).
 ///
 /// # Errors
@@ -168,7 +168,7 @@ where
     let clients: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.client(cfc_core::ProcessId::new(i), trips))
         .collect();
-    crate::explore::check_progress_sym(memory, clients, &alg.symmetry(), config)
+    crate::explore::check_progress(memory, clients, &alg.symmetry(), config)
 }
 
 /// Exhaustively verifies progress of a naming algorithm: from every
@@ -198,7 +198,7 @@ where
     A::Proc: Clone + Eq + Hash,
 {
     let memory = memory_of(alg.memory())?;
-    crate::explore::check_progress_sym(
+    crate::explore::check_progress(
         memory,
         alg.processes(),
         &alg.symmetry(),
@@ -236,7 +236,7 @@ where
     let procs: Vec<_> = (0..alg.n() as u32)
         .map(|i| alg.process(cfc_core::ProcessId::new(i)))
         .collect();
-    crate::explore::check_progress_sym(
+    crate::explore::check_progress(
         memory,
         procs,
         &cfc_core::SymmetryGroup::trivial(alg.n()),

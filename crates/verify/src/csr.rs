@@ -7,7 +7,7 @@
 //! sparse row form: one offsets array (4 B/node) plus one stream of
 //! packed 6-byte edge records held in the same segmented arena machinery
 //! as the states, so cold edge segments can spill through the same
-//! temp-file tier (see [`crate::store`]).
+//! temp-file tier (see `crate::store`).
 //!
 //! The BFS driver only ever appends edges at its current cursor node and
 //! never retroactively, so CSR builds online: [`EdgeArena::push`]

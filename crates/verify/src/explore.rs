@@ -10,14 +10,22 @@
 //! wait-freedom claims of the naming algorithms are validated under every
 //! adversarial failure pattern.
 //!
-//! The DFS safety explorer ([`explore`], [`explore_sym`]), the progress
-//! checker ([`check_progress`], [`check_progress_sym`]), and the
-//! fair-cycle liveness engine (`crate::liveness`) are all thin clients
-//! of one unified traversal driver (`GraphBuilder` in `crate::graph`,
+//! The DFS safety explorer ([`explore`]), the progress checker
+//! ([`check_progress`]), and the fair-cycle liveness engine
+//! ([`crate::liveness::check_liveness`]) are all thin clients of one
+//! unified traversal driver (`GraphBuilder` in `crate::graph`,
 //! configured by a `TraversalSpec`): the same successor function,
 //! canonical interning, crash branching, budget accounting, and
 //! ample-set selection — so a reduction is implemented (and argued
-//! sound) once, and every property benefits from it.
+//! sound) once, and every property benefits from it. Each entry point
+//! takes the system's [`SymmetryGroup`]; callers without symmetry pass
+//! [`SymmetryGroup::trivial`].
+//!
+//! Every driver keeps its visited states in one packed, arena-interned
+//! store with an open-addressed digest index (`crate::store`). Its
+//! un-reduced counts are checked against an independent reference
+//! checker in `tests/packed_equiv.rs`, `tests/index_equiv.rs` and
+//! `tests/reference_equiv.rs`.
 //!
 //! # State-space reduction
 //!
@@ -62,7 +70,7 @@
 //!
 //! # Reduction-aware progress checking
 //!
-//! [`check_progress_sym`] verifies *possibility of progress* — from every
+//! [`check_progress`] verifies *possibility of progress* — from every
 //! reachable state, some continuation reaches quiescence — on the reduced
 //! graph directly, and both reductions are sound for it:
 //!
@@ -94,7 +102,6 @@ use crate::graph::{
     canonicalize, expand_step, full_hash, AmpleMode, Engine, GraphBuilder, BuiltGraph, Node,
     Order, TraversalSpec,
 };
-use crate::store::{IndexMode, StoreMode};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// Limits and reduction switches for an exploration.
@@ -118,27 +125,10 @@ pub struct ExploreConfig {
     /// Enable symmetry reduction: canonicalize visited-state keys under
     /// the system's [`SymmetryGroup`]. A no-op under the trivial group.
     pub symmetry: bool,
-    /// How visited states are stored: [`StoreMode::Packed`] (the
-    /// default) interns one bit-packed record per canonical state in an
-    /// append-only arena; [`StoreMode::Boxed`] keeps the historical
-    /// boxed-`Node` representation and exists for differential testing.
-    /// Both modes make byte-identical search decisions — the packed
-    /// codec round-trips states exactly, so freshness answers (and
-    /// therefore search order, counts, and schedules) never differ.
-    pub store: StoreMode,
-    /// Which digest-index structure the packed visited store uses:
-    /// [`IndexMode::Open`] (the default) is a single open-addressed
-    /// `u32` table at ~4–6 B/state; [`IndexMode::Chained`] keeps the
-    /// historical `HashMap` heads + intrusive chain as the differential
-    /// oracle (`tests/index_equiv.rs`). Both resolve lookups by exact
-    /// byte comparison, so search decisions never differ. Ignored in
-    /// [`StoreMode::Boxed`].
-    pub index: IndexMode,
     /// Resident-memory budget (in bytes) for the packed visited arena
     /// and the recorded edge arena; when the resident segments exceed
     /// it, cold segments spill to a temporary file and are read back on
-    /// demand. `None` (the default) never spills. Ignored in
-    /// [`StoreMode::Boxed`].
+    /// demand. `None` (the default) never spills.
     pub spill_budget_bytes: Option<usize>,
     /// Which future-access over-approximation ample-set selection
     /// consults: [`MayAccessMode::Declared`] (the default) trusts the
@@ -172,8 +162,6 @@ impl Default for ExploreConfig {
             max_crashes: 0,
             por: false,
             symmetry: false,
-            store: StoreMode::Packed,
-            index: IndexMode::Open,
             spill_budget_bytes: None,
             may_access: MayAccessMode::Declared,
             drop_races_on: None,
@@ -206,22 +194,8 @@ impl ExploreConfig {
         self
     }
 
-    /// Replaces the visited-store backend.
-    #[must_use]
-    pub fn with_store(mut self, store: StoreMode) -> Self {
-        self.store = store;
-        self
-    }
-
-    /// Replaces the digest-index structure of the packed visited store.
-    #[must_use]
-    pub fn with_index(mut self, index: IndexMode) -> Self {
-        self.index = index;
-        self
-    }
-
     /// Sets the resident-memory budget that triggers spilling of cold
-    /// visited-arena segments (packed store only).
+    /// visited-arena and edge-arena segments.
     #[must_use]
     pub fn with_spill_budget(mut self, bytes: usize) -> Self {
         self.spill_budget_bytes = Some(bytes);
@@ -279,10 +253,8 @@ pub struct ExploreStats {
     /// [`MayAccessMode::Dynamic`] in the crash-free, symmetry-off
     /// safety DFS (see `crate::dynamic` for the gating).
     pub transitions_slept: u64,
-    /// Store, index, and edge memory at the end of the search: exact
-    /// bytes under [`StoreMode::Packed`] / [`IndexMode::Open`],
-    /// comparable estimates for the boxed/chained oracles.
-    /// `edge_bytes` is always 0 for the safety DFS, which records no
+    /// Store, index, and edge memory at the end of the search, in exact
+    /// heap bytes. `edge_bytes` is always 0 for the safety DFS, which records no
     /// graph; `spilled_buckets` is 0 unless
     /// [`ExploreConfig::spill_budget_bytes`] forced cold segments out.
     pub footprint: StoreFootprint,
@@ -429,40 +401,14 @@ pub fn canonical_key<P: Process + Clone + Eq + Hash>(
 }
 
 /// Explores every interleaving (and crash pattern, if enabled) of the
-/// processes under the trivial symmetry group, checking `state_check` in
-/// every reachable state and `terminal_check` in every quiescent state.
-///
-/// Equivalent to [`explore_sym`] with [`SymmetryGroup::trivial`]; use
-/// `explore_sym` to make [`ExploreConfig::symmetry`] effective.
+/// processes, with the reductions requested by `config` — partial-order
+/// reduction via footprint independence, symmetry reduction via the given
+/// group (pass [`SymmetryGroup::trivial`] for none; symmetry reduction
+/// also needs [`ExploreConfig::symmetry`]). See the module docs for the
+/// exact soundness contract on the checks.
 ///
 /// Process types must be `Clone + Eq + Hash` so states can be memoized;
 /// the enum-based state machines of `cfc-mutex`/`cfc-naming` all qualify.
-///
-/// # Errors
-///
-/// Returns the first violation found (with its schedule), state-budget
-/// exhaustion, or an invalid memory operation.
-pub fn explore<P, FS, FT>(
-    memory: Memory,
-    procs: Vec<P>,
-    config: ExploreConfig,
-    state_check: FS,
-    terminal_check: FT,
-) -> Result<ExploreStats, ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-    FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
-    FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
-{
-    let group = SymmetryGroup::trivial(procs.len());
-    explore_sym(memory, procs, &group, config, state_check, terminal_check)
-}
-
-/// Explores every interleaving (and crash pattern, if enabled) of the
-/// processes, with the reductions requested by `config` — partial-order
-/// reduction via footprint independence, symmetry reduction via the given
-/// group. See the module docs for the exact soundness contract on the
-/// checks.
 ///
 /// # Errors
 ///
@@ -473,7 +419,7 @@ where
 /// # Panics
 ///
 /// Panics if `symmetry` is defined over a different process count.
-pub fn explore_sym<P, FS, FT>(
+pub fn explore<P, FS, FT>(
     memory: Memory,
     procs: Vec<P>,
     symmetry: &SymmetryGroup,
@@ -553,29 +499,6 @@ impl ProgressStats {
     }
 }
 
-/// Exhaustively verifies *possibility of progress* under the trivial
-/// symmetry group: from **every** reachable state of the system, some
-/// continuation reaches quiescence. Equivalent to [`check_progress_sym`]
-/// with [`SymmetryGroup::trivial`]; use `check_progress_sym` to make
-/// [`ExploreConfig::symmetry`] effective.
-///
-/// # Errors
-///
-/// Returns a [`Violation`] with a replayable schedule to a stuck state if
-/// one exists, a state-budget error for oversized systems, or a memory
-/// error.
-pub fn check_progress<P>(
-    memory: Memory,
-    procs: Vec<P>,
-    config: ExploreConfig,
-) -> Result<ProgressStats, ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let group = SymmetryGroup::trivial(procs.len());
-    check_progress_sym(memory, procs, &group, config)
-}
-
 /// Exhaustively verifies *possibility of progress*: from **every**
 /// reachable state of the system, some continuation reaches quiescence
 /// (no process still running).
@@ -593,10 +516,11 @@ where
 /// are sound for progress): with `symmetry`, the graph is the canonical
 /// quotient — one interned representative per orbit, never stored twice —
 /// and with `por`, states are expanded through a single independent
-/// process when the fresh-successor proviso allows.
+/// process when the fresh-successor proviso allows. Pass
+/// [`SymmetryGroup::trivial`] when the system declares no symmetry.
 ///
 /// The crash budget is honored: with `max_crashes > 0` the graph branches
-/// on adversarial crash transitions exactly like [`explore_sym`], and
+/// on adversarial crash transitions exactly like [`explore`], and
 /// **crashed processes count as quiesced** — quiescence means no process
 /// is still `Running`, so a run in which some processes crashed and all
 /// others halted is a valid terminal. Partial-order reduction is
@@ -613,7 +537,7 @@ where
 /// # Panics
 ///
 /// Panics if `symmetry` is defined over a different process count.
-pub fn check_progress_sym<P>(
+pub fn check_progress<P>(
     memory: Memory,
     procs: Vec<P>,
     symmetry: &SymmetryGroup,
@@ -790,8 +714,8 @@ impl<P> Replayed<P> {
 ///
 /// # Errors
 ///
-/// Propagates executor errors; a schedule obtained from [`explore`],
-/// [`explore_sym`], or the progress checkers always replays cleanly.
+/// Propagates executor errors; a schedule obtained from [`explore`] or
+/// the progress checkers always replays cleanly.
 ///
 /// # Panics
 ///
@@ -863,6 +787,11 @@ pub fn replay<P: Process>(
 mod tests {
     use super::*;
     use cfc_core::{Layout, Op, RegisterId};
+
+    /// The no-symmetry group of the two-process fixtures below.
+    fn trivial() -> SymmetryGroup {
+        SymmetryGroup::trivial(2)
+    }
 
     /// Two processes each increment a 2-bit counter once (read + write).
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -1030,6 +959,7 @@ mod tests {
         let err = explore(
             memory,
             procs,
+            &trivial(),
             ExploreConfig::default(),
             |_| Ok(()),
             |view| {
@@ -1058,6 +988,7 @@ mod tests {
         let stats = explore(
             memory,
             procs,
+            &trivial(),
             ExploreConfig::default(),
             |_| Ok(()),
             |view| {
@@ -1087,13 +1018,14 @@ mod tests {
         let base = explore(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default(),
             |_| Ok(()),
             |_| Ok(()),
         )
         .unwrap();
         let mut counts = std::collections::BTreeSet::new();
-        let reduced = explore_sym(
+        let reduced = explore(
             memory,
             procs,
             &SymmetryGroup::full(2),
@@ -1126,6 +1058,7 @@ mod tests {
             let stats = explore(
                 memory.clone(),
                 procs.clone(),
+                &trivial(),
                 ExploreConfig {
                     por,
                     ..ExploreConfig::default()
@@ -1156,6 +1089,7 @@ mod tests {
         let _ = explore(
             memory,
             procs,
+            &trivial(),
             ExploreConfig {
                 max_crashes: 1,
                 ..Default::default()
@@ -1178,6 +1112,7 @@ mod tests {
         let err = explore(
             memory,
             procs,
+            &trivial(),
             ExploreConfig::default().with_max_states(3),
             |_| Ok(()),
             |_| Ok(()),
@@ -1195,6 +1130,7 @@ mod tests {
         let exact = explore(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default(),
             |_| Ok(()),
             |_| Ok(()),
@@ -1204,6 +1140,7 @@ mod tests {
         let at = explore(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default().with_max_states(exact),
             |_| Ok(()),
             |_| Ok(()),
@@ -1213,6 +1150,7 @@ mod tests {
         let err = explore(
             memory,
             procs,
+            &trivial(),
             ExploreConfig::default().with_max_states(exact - 1),
             |_| Ok(()),
             |_| Ok(()),
@@ -1230,12 +1168,18 @@ mod tests {
     #[test]
     fn bfs_budget_boundary_is_inclusive() {
         let (memory, procs) = incr_system();
-        let exact = check_progress(memory.clone(), procs.clone(), ExploreConfig::default())
-            .unwrap()
-            .states;
+        let exact = check_progress(
+            memory.clone(),
+            procs.clone(),
+            &trivial(),
+            Default::default(),
+        )
+        .unwrap()
+        .states;
         let at = check_progress(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default().with_max_states(exact),
         )
         .unwrap();
@@ -1243,6 +1187,7 @@ mod tests {
         let err = check_progress(
             memory,
             procs,
+            &trivial(),
             ExploreConfig::default().with_max_states(exact - 1),
         )
         .unwrap_err();
@@ -1259,6 +1204,7 @@ mod tests {
         let err = explore(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default(),
             |_| Ok(()),
             |view| {
@@ -1342,7 +1288,7 @@ mod tests {
     #[test]
     fn progress_holds_for_the_increment_pair() {
         let (memory, procs) = incr_system();
-        let stats = check_progress(memory, procs, ExploreConfig::default()).unwrap();
+        let stats = check_progress(memory, procs, &trivial(), ExploreConfig::default()).unwrap();
         assert!(stats.states > 5);
         assert!(stats.terminals >= 1);
         assert_eq!(stats.states_pruned_por, 0);
@@ -1352,8 +1298,14 @@ mod tests {
     #[test]
     fn progress_verdict_matches_across_reductions() {
         let (memory, procs) = incr_system();
-        let base = check_progress(memory.clone(), procs.clone(), ExploreConfig::default()).unwrap();
-        let red = check_progress_sym(
+        let base = check_progress(
+            memory.clone(),
+            procs.clone(),
+            &trivial(),
+            Default::default(),
+        )
+        .unwrap();
+        let red = check_progress(
             memory,
             procs,
             &SymmetryGroup::full(2),
@@ -1370,8 +1322,13 @@ mod tests {
         // schedule ("state N of M"); they must now carry a concrete path
         // that replays to the stuck state.
         let (memory, procs) = deadlock_pair();
-        let err = check_progress(memory.clone(), procs.clone(), ExploreConfig::default())
-            .unwrap_err();
+        let err = check_progress(
+            memory.clone(),
+            procs.clone(),
+            &trivial(),
+            Default::default(),
+        )
+        .unwrap_err();
         let ExploreError::Violation(v) = err else {
             panic!("expected a progress violation");
         };
@@ -1395,9 +1352,13 @@ mod tests {
             },
             ExploreConfig::reduced(),
         ] {
-            let err =
-                check_progress_sym(memory.clone(), procs.clone(), &SymmetryGroup::full(2), config)
-                    .unwrap_err();
+            let err = check_progress(
+                memory.clone(),
+                procs.clone(),
+                &SymmetryGroup::full(2),
+                config,
+            )
+            .unwrap_err();
             let ExploreError::Violation(v) = err else {
                 panic!("expected a progress violation");
             };
@@ -1414,10 +1375,17 @@ mod tests {
         // budget must be part of the progress graph, and the violating
         // schedule must contain the crash.
         let (memory, procs) = flag_system();
-        check_progress(memory.clone(), procs.clone(), ExploreConfig::default()).unwrap();
+        check_progress(
+            memory.clone(),
+            procs.clone(),
+            &trivial(),
+            Default::default(),
+        )
+        .unwrap();
         let err = check_progress(
             memory.clone(),
             procs.clone(),
+            &trivial(),
             ExploreConfig::default().with_max_crashes(1),
         )
         .unwrap_err();
@@ -1438,8 +1406,8 @@ mod tests {
     #[test]
     fn progress_budget_is_enforced() {
         let (memory, procs) = incr_system();
-        let err = check_progress(memory, procs, ExploreConfig::default().with_max_states(3))
-            .unwrap_err();
+        let config = ExploreConfig::default().with_max_states(3);
+        let err = check_progress(memory, procs, &trivial(), config).unwrap_err();
         assert!(matches!(err, ExploreError::StateBudget(_)));
     }
 }

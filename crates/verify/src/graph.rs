@@ -2,8 +2,8 @@
 //! behind every exhaustive checker.
 //!
 //! All three search drivers in this crate — the DFS safety explorer
-//! ([`crate::explore::explore_sym`]), the BFS progress checker
-//! ([`crate::explore::check_progress_sym`]), and the fair-cycle liveness
+//! ([`crate::explore::explore`]), the BFS progress checker
+//! ([`crate::explore::check_progress`]), and the fair-cycle liveness
 //! builder in [`crate::liveness`] — walk the same state graph: global
 //! states (process local states, register values, liveness statuses,
 //! remaining crash budget) connected by process steps and crash
@@ -28,7 +28,8 @@
 //!   point ([`GraphBuilder::build_graph`]) interns one canonical
 //!   representative per orbit and returns the labeled [`BuiltGraph`].
 //!   The interning discipline, crash branching, budget accounting, and
-//!   reduction bookkeeping live here exactly once.
+//!   reduction bookkeeping live here exactly once, over the one packed
+//!   visited store of `crate::store`.
 
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -45,7 +46,7 @@ pub(crate) use crate::csr::GEdge;
 use crate::csr::{EdgeArena, ReversedCsr};
 use crate::dynamic::{observed_conflict, sleep_sets_active, SleepTable};
 use crate::explore::{ExploreConfig, ExploreError, ScheduleStep, StateView, Violation};
-use crate::store::{IndexMode, NodeStore, StoreMode, VisitOutcome};
+use crate::store::{NodeStore, VisitOutcome};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// A global state of the explored system.
@@ -678,10 +679,8 @@ pub(crate) struct TraversalStats {
     /// Transitions skipped by dynamic sleep sets (safety DFS under
     /// [`MayAccessMode::Dynamic`] only; zero everywhere else).
     pub(crate) transitions_slept: u64,
-    /// Store/index/edge bytes and spill counts (exact in packed mode,
-    /// comparable estimates for the boxed/chained structures;
-    /// `edge_bytes` is zero for the DFS and for BFS without edge
-    /// recording).
+    /// Store/index/edge bytes and spill counts (`edge_bytes` is zero
+    /// for the DFS and for BFS without edge recording).
     pub(crate) footprint: StoreFootprint,
     /// Wall time of the traversal, measured by the telemetry clock
     /// (ambient, so tests can inject a deterministic one).
@@ -765,8 +764,6 @@ pub(crate) struct GraphBuilder<'a, P> {
     engine: Engine<P>,
     spec: TraversalSpec<'a, P>,
     max_states: usize,
-    store_mode: StoreMode,
-    index_mode: IndexMode,
     spill_budget: Option<usize>,
     progress: bool,
 }
@@ -776,7 +773,6 @@ impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
         f.debug_struct("GraphBuilder")
             .field("spec", &self.spec)
             .field("max_states", &self.max_states)
-            .field("store_mode", &self.store_mode)
             .finish()
     }
 }
@@ -809,8 +805,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             engine,
             spec,
             max_states: config.max_states,
-            store_mode: config.store,
-            index_mode: config.index,
             spill_budget: config.spill_budget_bytes,
             progress: config.progress,
         }
@@ -893,8 +887,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
         let mut visited: NodeStore<P> = NodeStore::new(
-            self.store_mode,
-            self.index_mode,
             self.spill_budget,
             engine.template().layout(),
             &root,
@@ -1147,8 +1139,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let root_canon = engine.canonical_of(&root);
 
         let mut store: NodeStore<P> = NodeStore::new(
-            self.store_mode,
-            self.index_mode,
             self.spill_budget,
             engine.template().layout(),
             &root_canon,

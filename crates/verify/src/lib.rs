@@ -65,7 +65,7 @@ mod graph;
 pub mod index;
 pub mod liveness;
 pub mod merge;
-pub mod store;
+mod store;
 pub mod stress;
 pub mod telemetry;
 
@@ -83,13 +83,12 @@ pub use checks::{
     check_naming_progress, check_naming_uniqueness,
 };
 pub use explore::{
-    canonical_key, check_progress, check_progress_sym, explore, explore_sym, replay,
-    ExploreConfig, ExploreError, ExploreStats, ProgressStats, Replayed, ScheduleStep, Violation,
+    canonical_key, check_progress, explore, replay, ExploreConfig, ExploreError, ExploreStats,
+    ProgressStats, Replayed, ScheduleStep, Violation,
 };
 pub use index::OpenIndex;
-pub use store::{IndexMode, StoreMode};
 pub use liveness::{
-    check_liveness_sym, check_mutex_starvation, check_naming_lockout, validate_bypass,
+    check_liveness, check_mutex_starvation, check_naming_lockout, validate_bypass,
     validate_lasso, BypassWitness, Lasso, LassoWitness, LivenessReport, LivenessSpec,
     LivenessStats, LivenessVerdict, NormalizeFn,
 };

@@ -357,7 +357,8 @@ impl LivenessReport {
 /// engaged waiters is measured.
 ///
 /// See the module docs for the victim-per-class strategy under symmetry
-/// reduction and the liveness-safe ample mode under partial-order
+/// reduction (pass [`SymmetryGroup::trivial`] for a system without
+/// symmetry) and the liveness-safe ample mode under partial-order
 /// reduction; with both flags off this is an exact check of the full
 /// graph. `config.max_states` bounds **each** per-victim graph.
 ///
@@ -373,7 +374,7 @@ impl LivenessReport {
 /// Panics if `symmetry` is defined over a different process count, or on
 /// an internal inconsistency (a discovered lasso that fails concrete
 /// validation — which the engine's invariants rule out).
-pub fn check_liveness_sym<P>(
+pub fn check_liveness<P>(
     memory: Memory,
     procs: Vec<P>,
     symmetry: &SymmetryGroup,
@@ -1441,7 +1442,7 @@ where
 /// The system is the algorithm's full set of clients cycling through
 /// entry → critical section (one observable step) → exit **forever**:
 /// its fair infinite behaviors are exactly the fair cycles of the finite
-/// state graph, which [`check_liveness_sym`] hunts per victim (one per
+/// state graph, which [`check_liveness`] hunts per victim (one per
 /// symmetry class under `config.symmetry`, with the victim pinned by the
 /// class stabilizer). Algorithms with unbounded auxiliary state supply a
 /// [`cfc_mutex::StateNormalizer`] (the bakery's ticket shift) to keep
@@ -1455,7 +1456,7 @@ where
 ///
 /// # Errors
 ///
-/// Budget or memory errors, as [`check_liveness_sym`].
+/// Budget or memory errors, as [`check_liveness`].
 pub fn check_mutex_starvation<A>(
     alg: &A,
     config: ExploreConfig,
@@ -1474,7 +1475,7 @@ where
             .as_deref()
             .map(|f| f as &dyn Fn(&mut [MutexClient<A::Lock>], &mut [Value])),
     );
-    check_liveness_sym(memory, clients, &alg.symmetry(), config, &spec)
+    check_liveness(memory, clients, &alg.symmetry(), config, &spec)
 }
 
 /// Exhaustively checks a naming algorithm for **lockout freedom**: no
@@ -1491,7 +1492,7 @@ where
 ///
 /// # Errors
 ///
-/// Budget or memory errors, as [`check_liveness_sym`].
+/// Budget or memory errors, as [`check_liveness`].
 pub fn check_naming_lockout<A>(
     alg: &A,
     max_crashes: u32,
@@ -1510,7 +1511,7 @@ where
         },
         normalize: None,
     };
-    check_liveness_sym(
+    check_liveness(
         memory,
         alg.processes(),
         &alg.symmetry(),

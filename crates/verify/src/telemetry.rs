@@ -17,7 +17,7 @@
 //! * [`Telemetry`] — a cheap cloneable handle bundling sinks, a
 //!   [`Clock`], and the sampling stride. Installed *ambiently* per
 //!   thread with [`with_telemetry`], so no driver signature changes:
-//!   `with_telemetry(&tel, || explore_sym(...))`.
+//!   `with_telemetry(&tel, || explore(...))`.
 //!
 //! # Passivity
 //!
@@ -61,9 +61,9 @@ pub const DEFAULT_STRIDE: u64 = 1 << 16;
 /// [`Snapshot`]s and by `ExploreStats`/`ProgressStats`/`LivenessStats`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct StoreFootprint {
-    /// Bytes held by the visited-state arena (packed or boxed).
+    /// Bytes held by the packed visited-state arena.
     pub arena_bytes: u64,
-    /// Bytes held by the state index (open-addressed or chained).
+    /// Bytes held by the open-addressed state index.
     pub index_bytes: u64,
     /// Bytes held by the recorded edge list, when edges are recorded.
     pub edge_bytes: u64,
@@ -96,7 +96,7 @@ impl StoreFootprint {
 /// round-trips exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// The memoizing safety DFS (`explore`/`explore_sym`).
+    /// The memoizing safety DFS (`explore`).
     SafetyDfs,
     /// A whole progress check: graph build plus back-propagation.
     ProgressCheck,
@@ -236,7 +236,7 @@ pub enum TelemetryEvent {
         spilled_buckets: u64,
     },
     /// The index footprint grew since the previous sample (an
-    /// `OpenIndex` doubling or chained-table growth).
+    /// `OpenIndex` doubling).
     IndexGrowth {
         /// Which phase.
         phase: Phase,

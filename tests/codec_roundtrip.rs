@@ -1,5 +1,5 @@
 //! Property tests for the packed state codec that backs the arena
-//! visited store (`StoreMode::Packed`): the store substitutes
+//! visited store (the engine's only store): the store substitutes
 //! byte-equality for state equality, which is sound only if encoding is
 //! **injective** on the states that actually occur. These suites pin the
 //! two halves of that argument:
@@ -12,8 +12,12 @@
 //!   exact process — identity fields included — from the bytes alone,
 //!   for states sampled by random walks of the real executor;
 //! * a full pack round trip leaves the symmetry-reduced explorer's
-//!   canonical key unchanged, so the packed store and the boxed
-//!   reference store agree on which states are "the same".
+//!   canonical key unchanged, so the packed store and an unpacked
+//!   `HashMap` of whole states agree on which states are "the same".
+//!
+//! End to end, `tests/packed_equiv.rs`, `tests/index_equiv.rs` and
+//! `tests/reference_equiv.rs` hold whole searches over the packed store
+//! to the exact counts of an un-packed reference checker.
 
 mod common;
 

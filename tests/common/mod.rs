@@ -1,12 +1,17 @@
 //! Shared test support for the integration suites: explorer budget
 //! construction, so every test states its limits the same way and a
 //! state-space regression fails fast with `ExploreError::StateBudget`
-//! instead of hanging CI.
+//! instead of hanging CI, plus the independent [`reference`] checker the
+//! engine's counts and verdicts are compared against, and the
+//! comparison itself ([`equiv`]).
 //!
 //! (`tests/common/` is not itself a test target; each suite pulls this in
 //! with `mod common;` and uses the subset it needs.)
 
 #![allow(dead_code)]
+
+pub mod equiv;
+pub mod reference;
 
 use std::collections::BTreeMap;
 

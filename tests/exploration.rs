@@ -279,3 +279,32 @@ fn exhaustive_tournament_five_spill_differential() {
         resident.footprint.arena_bytes
     );
 }
+
+#[test]
+#[ignore = "heaviest naming target (16-walker quotient); run via cargo test --release -- --ignored"]
+fn exhaustive_taf_tree_sixteen() {
+    // The sixteen-walker test-and-flip tree — the next power-of-two
+    // scale point past the eight-walker instance, a canonical quotient
+    // orders of magnitude past n=8's — explored to quiescence under the
+    // full reduction stack. The open index's exactness at this scale is
+    // covered separately by `exhaustive_open_index_matches_model_at_scale`
+    // in tests/prop_index.rs; here the run pins the scale and the index's
+    // bytes-per-state envelope. (The n=16 *lockout* check stays out of CI
+    // — its per-victim stabilizer quotients are larger still;
+    // `exhaustive_taf_tree_eight_lockout` covers the liveness engine's
+    // CSR path at scale.)
+    let alg = TafTree::new(16).unwrap();
+    let stats = check_naming_uniqueness(&alg, 0, reduced(400_000_000)).unwrap();
+    assert!(
+        stats.states > 20_000_000,
+        "expected the 16-walker quotient well past the n=8 scale, visited {}",
+        stats.states
+    );
+    // Doubling at a 7/8 load factor bounds the table at 16/7 slots per
+    // state right after a growth: 64/7 ≈ 9.15 B/state worst case.
+    let per_state = stats.footprint.index_bytes as f64 / stats.states as f64;
+    assert!(
+        per_state <= 64.0 / 7.0 + 0.1,
+        "open index overhead {per_state:.2} B/state exceeds the doubling-table worst case"
+    );
+}

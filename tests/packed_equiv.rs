@@ -1,107 +1,48 @@
-//! Differential evidence that the packed arena store
-//! (`StoreMode::Packed`, the default) has **byte-identical search
-//! semantics** to the boxed reference store (`StoreMode::Boxed`, the
-//! pre-arena representation kept as a differential oracle): every count
-//! a traversal reports — states, transitions, terminals, POR prunes,
-//! orbit merges — must match exactly, across every algorithm family and
-//! every reduction variant, with and without the spill tier engaged.
+//! The packed arena store against whole states: on the small crash-free
+//! instances — one family packing its processes through the
+//! `pack_state` hooks, others interning them into 32-bit slots — the
+//! engine's un-reduced counts must equal those of the reference checker
+//! (`tests/common/reference.rs`), which keeps every state whole in a
+//! hash set, and every reduced variant must reach its verdicts (see
+//! `tests/common/equiv.rs`). A record that decoded or compared wrongly
+//! would merge or split states and change a count.
 //!
-//! Only `arena_bytes` may differ between the two modes: that is the
-//! point of the packed store, and the footprint test at the bottom pins
-//! the advantage at better than 2x.
+//! The spill tier, which reads records back from disk for the same byte
+//! comparison, must not change a single count either.
+//!
+//! `index_equiv.rs` runs the same comparison on larger instances and
+//! `reference_equiv.rs` under crashes.
 
 mod common;
 
 use cfc::mutex::{Bakery, LamportFast, PetersonTwo, Splitter, Tournament};
 use cfc::naming::{TafTree, TasScan};
-use cfc::verify::{
-    check_detection_safety, check_mutex_progress, check_mutex_safety, check_naming_uniqueness,
-    ExploreConfig, ExploreStats, ProgressStats, StoreMode,
+use cfc::verify::{check_mutex_safety, ExploreStats};
+use common::equiv::{
+    detection_progress, detection_safety, mutex_progress, mutex_safety, naming_progress,
+    naming_safety,
 };
-
-/// Every count the search semantics determine (everything except the
-/// representation-dependent `arena_bytes`/`spilled_buckets`).
-fn counts(s: &ExploreStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-fn progress_counts(s: &ProgressStats) -> (usize, u64, usize, u64, u64) {
-    (
-        s.states,
-        s.transitions,
-        s.terminals,
-        s.states_pruned_por,
-        s.orbits_merged,
-    )
-}
-
-/// Runs one safety check under both store backends and demands equal
-/// counts.
-fn assert_safety_equiv<F>(label: &str, run: F)
-where
-    F: Fn(ExploreConfig) -> ExploreStats,
-{
-    for (variant, cfg) in common::labeled_variants(200_000) {
-        let packed = run(cfg.with_store(StoreMode::Packed));
-        let boxed = run(cfg.with_store(StoreMode::Boxed));
-        assert_eq!(
-            counts(&packed),
-            counts(&boxed),
-            "{label} [{variant}]: packed and boxed stores disagree"
-        );
-        assert!(packed.states > 0, "{label} [{variant}]: empty exploration");
-    }
-}
 
 #[test]
 fn packed_and_boxed_agree_on_mutex_safety() {
-    assert_safety_equiv("peterson", |cfg| {
-        check_mutex_safety(&PetersonTwo::new(), 2, cfg).unwrap()
-    });
-    assert_safety_equiv("bakery", |cfg| {
-        check_mutex_safety(&Bakery::new(2), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("tournament", |cfg| {
-        check_mutex_safety(&Tournament::new(3, 1), 1, cfg).unwrap()
-    });
+    mutex_safety("peterson", &PetersonTwo::new(), 2);
+    mutex_safety("bakery", &Bakery::new(2), 1);
+    mutex_safety("tournament", &Tournament::new(3, 1), 1);
 }
 
 #[test]
 fn packed_and_boxed_agree_on_naming_and_detection() {
-    assert_safety_equiv("tas-scan", |cfg| {
-        check_naming_uniqueness(&TasScan::new(3), 1, cfg).unwrap()
-    });
-    assert_safety_equiv("taf-tree", |cfg| {
-        check_naming_uniqueness(&TafTree::new(4).unwrap(), 0, cfg).unwrap()
-    });
-    assert_safety_equiv("splitter", |cfg| {
-        check_detection_safety(&Splitter::new(3), cfg).unwrap()
-    });
+    naming_safety("tas-scan", &TasScan::new(3), 0, true);
+    naming_safety("taf-tree", &TafTree::new(4).unwrap(), 0, true);
+    detection_safety("splitter", &Splitter::new(3), 0);
 }
 
 #[test]
 fn packed_and_boxed_agree_on_progress_graphs() {
-    for (variant, cfg) in common::labeled_variants(60_000) {
-        for (label, trips) in [("peterson", 2), ("bakery", 1)] {
-            let run = |c: ExploreConfig| match label {
-                "peterson" => check_mutex_progress(&PetersonTwo::new(), trips, c).unwrap(),
-                _ => check_mutex_progress(&Bakery::new(2), trips, c).unwrap(),
-            };
-            let packed = run(cfg.with_store(StoreMode::Packed));
-            let boxed = run(cfg.with_store(StoreMode::Boxed));
-            assert_eq!(
-                progress_counts(&packed),
-                progress_counts(&boxed),
-                "{label} [{variant}]: packed and boxed progress graphs disagree"
-            );
-        }
-    }
+    mutex_progress("peterson", &PetersonTwo::new(), 2);
+    mutex_progress("bakery", &Bakery::new(2), 1);
+    naming_progress("taf-tree", &TafTree::new(4).unwrap(), 0);
+    detection_progress("splitter", &Splitter::new(3), 0);
 }
 
 /// Forcing the spill tier (budget 0: every filled segment goes to disk)
@@ -109,6 +50,15 @@ fn packed_and_boxed_agree_on_progress_graphs() {
 /// the same exact byte comparison — and must actually spill.
 #[test]
 fn spilling_preserves_counts_and_reports_spilled_segments() {
+    let counts = |s: &ExploreStats| {
+        (
+            s.states,
+            s.transitions,
+            s.terminals,
+            s.states_pruned_por,
+            s.orbits_merged,
+        )
+    };
     let base_cfg = common::por_only(25_000);
     let resident = check_mutex_safety(&LamportFast::new(3), 1, base_cfg).unwrap();
     // Precondition for a meaningful test: the arena must outgrow at
@@ -120,48 +70,19 @@ fn spilling_preserves_counts_and_reports_spilled_segments() {
         "arena too small to exercise spilling ({} bytes); use a larger instance",
         resident.footprint.arena_bytes
     );
-    let spilled = check_mutex_safety(&LamportFast::new(3), 1, base_cfg.with_spill_budget(0)).unwrap();
-    assert_eq!(counts(&resident), counts(&spilled), "spilling changed search counts");
-    assert!(spilled.footprint.spilled_buckets > 0, "budget 0 spilled nothing");
-    assert_eq!(resident.footprint.spilled_buckets, 0, "unbudgeted run must not spill");
-}
-
-/// The acceptance bar for the representation itself: on both a
-/// fast-path (packing) family and an interned-fallback family, the
-/// packed arena holds each state in less than **half** the boxed
-/// per-node footprint.
-#[test]
-fn packed_store_is_at_most_half_the_boxed_footprint() {
-    for (label, packed, boxed) in [
-        (
-            "peterson (packed fast path)",
-            check_mutex_safety(&PetersonTwo::new(), 2, common::budget(2_000)).unwrap(),
-            check_mutex_safety(
-                &PetersonTwo::new(),
-                2,
-                common::budget(2_000).with_store(StoreMode::Boxed),
-            )
-            .unwrap(),
-        ),
-        (
-            "tournament (interned fallback)",
-            check_mutex_safety(&Tournament::new(3, 1), 1, common::budget(60_000)).unwrap(),
-            check_mutex_safety(
-                &Tournament::new(3, 1),
-                1,
-                common::budget(60_000).with_store(StoreMode::Boxed),
-            )
-            .unwrap(),
-        ),
-    ] {
-        assert_eq!(packed.states, boxed.states, "{label}: state counts diverged");
-        assert!(
-            packed.footprint.arena_bytes * 2 <= boxed.footprint.arena_bytes,
-            "{label}: packed store not less than half the boxed footprint \
-             ({} vs {} bytes over {} states)",
-            packed.footprint.arena_bytes,
-            boxed.footprint.arena_bytes,
-            packed.states
-        );
-    }
+    let spilled =
+        check_mutex_safety(&LamportFast::new(3), 1, base_cfg.with_spill_budget(0)).unwrap();
+    assert_eq!(
+        counts(&resident),
+        counts(&spilled),
+        "spilling changed search counts"
+    );
+    assert!(
+        spilled.footprint.spilled_buckets > 0,
+        "budget 0 spilled nothing"
+    );
+    assert_eq!(
+        resident.footprint.spilled_buckets, 0,
+        "unbudgeted run must not spill"
+    );
 }

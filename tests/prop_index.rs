@@ -22,11 +22,11 @@ use proptest::prelude::*;
 /// Interns `values` through an [`OpenIndex`] (digesting with `digest`)
 /// and through a `HashMap` model side by side, asserting agreement on
 /// every probe.
-fn check_against_model(values: &[u64], digest: impl Fn(u64) -> u64) {
+fn check_against_model(values: impl IntoIterator<Item = u64>, digest: impl Fn(u64) -> u64) {
     let mut index = OpenIndex::new();
     let mut records: Vec<u64> = Vec::new();
     let mut model: HashMap<u64, u32> = HashMap::new();
-    for &v in values {
+    for v in values {
         let found = index.find(digest(v), |id| records[id as usize] == v);
         assert_eq!(
             found,
@@ -107,7 +107,7 @@ proptest! {
         values in prop::collection::vec(0u64..400, 0..700),
         modulus in 1u64..32,
     ) {
-        check_against_model(&values, |v| v % modulus);
+        check_against_model(values, |v| v % modulus);
     }
 
     /// An identity digest (no collisions beyond table-size aliasing) and
@@ -118,7 +118,7 @@ proptest! {
         // factor triggers the first doubling; +extra walks the boundary.
         let n = 56 + extra;
         let values: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9e37_79b9) + offset).collect();
-        check_against_model(&values, |v| v);
+        check_against_model(values, |v| v);
     }
 
     /// Random DAG-shaped-or-not edge lists over a fixed node count: the
@@ -161,4 +161,29 @@ proptest! {
             }
         }
     }
+}
+
+/// MurmurHash3's 64-bit finalizer: spreads the lossy digest below over
+/// every bit the table masks.
+fn fmix64(mut x: u64) -> u64 {
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// The index against its model past the scale of the largest
+/// exhaustive run (the sixteen-walker naming quotient, > 20M states):
+/// 40M probes drawn from a 2^25-value universe (~23M distinct values,
+/// so every growth up to 2^25 slots happens and most values are
+/// re-probed), under a digest that maps every four values to one
+/// digest — each probe path must tell colliding records apart by
+/// content.
+#[test]
+#[ignore = "heavy index model check (40M probes, ~0.9 GB); run via cargo test --release -- --ignored"]
+fn exhaustive_open_index_matches_model_at_scale() {
+    const UNIVERSE: u64 = 1 << 25;
+    let values = (0..40_000_000u64).map(|i| fmix64(i) % UNIVERSE);
+    check_against_model(values, |v| fmix64(v / 4));
 }

@@ -1,6 +1,6 @@
 //! Property tests for the symmetry-reduced progress checker: the verdict
 //! — and, stronger, the whole canonical-quotient graph — of
-//! `check_progress_sym` is invariant under any permutation of the process
+//! `check_progress` is invariant under any permutation of the process
 //! vector, sampled over random execution prefixes and random
 //! permutations, mirroring `tests/prop_reduction.rs`.
 //!
@@ -15,7 +15,7 @@ mod common;
 
 use cfc::core::{Memory, OpResult, Process, Status, Step};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::{check_progress_sym, ProgressStats};
+use cfc::verify::{check_progress, ProgressStats};
 use proptest::prelude::*;
 
 /// Advances process `pid` by one step against `mem`, mirroring the
@@ -75,10 +75,8 @@ where
     // be identical in size, for symmetry alone and combined with
     // partial-order reduction.
     for cfg in [common::sym_only(200_000), common::reduced(200_000)] {
-        let s0: ProgressStats =
-            check_progress_sym(mem.clone(), procs.clone(), &group, cfg).unwrap();
-        let s1: ProgressStats =
-            check_progress_sym(mem.clone(), procs_p.clone(), &group, cfg).unwrap();
+        let s0: ProgressStats = check_progress(mem.clone(), procs.clone(), &group, cfg).unwrap();
+        let s1: ProgressStats = check_progress(mem.clone(), procs_p.clone(), &group, cfg).unwrap();
         assert_eq!(s0.states, s1.states, "{cfg:?}");
         assert_eq!(s0.transitions, s1.transitions, "{cfg:?}");
         assert_eq!(s0.terminals, s1.terminals, "{cfg:?}");
@@ -115,14 +113,14 @@ proptest! {
 #[test]
 fn taf_tree_progress_quotient_is_smaller_than_baseline() {
     let alg = TafTree::new(4).unwrap();
-    let base = check_progress_sym(
+    let base = check_progress(
         alg.memory().unwrap(),
         alg.processes(),
         &alg.symmetry(),
         common::budget(200_000),
     )
     .unwrap();
-    let red = check_progress_sym(
+    let red = check_progress(
         alg.memory().unwrap(),
         alg.processes(),
         &alg.symmetry(),

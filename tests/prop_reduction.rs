@@ -9,7 +9,7 @@ mod common;
 
 use cfc::core::{Memory, OpResult, Process, Status, Step};
 use cfc::naming::{NamingAlgorithm, TafTree, TasScan};
-use cfc::verify::{canonical_key, explore_sym};
+use cfc::verify::{canonical_key, explore};
 use proptest::prelude::*;
 
 /// Advances process `pid` by one step against `mem`, mirroring the
@@ -79,8 +79,8 @@ where
     //    subgraph and the counts need not match exactly — verdict
     //    equivalence under POR is covered by `tests/reduction_equiv.rs`.
     let cfg = common::sym_only(200_000);
-    let s0 = explore_sym(mem.clone(), procs, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
-    let s1 = explore_sym(mem, procs_p, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
+    let s0 = explore(mem.clone(), procs, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
+    let s1 = explore(mem, procs_p, &group, cfg, |_| Ok(()), |_| Ok(())).unwrap();
     assert_eq!(s0.states, s1.states);
     assert_eq!(s0.terminals, s1.terminals);
 }
