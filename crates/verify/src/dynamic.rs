@@ -31,9 +31,10 @@
 //!   ∪ conflict order), and the differential/property walls use it to
 //!   audit what the in-engine sleep machinery treats as concurrent.
 //!
-//! Soundness boundaries are enforced by [`sleep_sets_active`]: sleeping
-//! is restricted to the safety DFS (cycle/progress back-propagation
-//! would see pruned *edges*), to concrete (non-quotient) exploration
+//! Soundness boundaries: sleeping is restricted to the safety DFS
+//! (cycle/progress back-propagation would see pruned *edges*), which is
+//! the only traversal that asks [`sleep_sets_active`]; that gate
+//! restricts it further to concrete (non-quotient) exploration
 //! (masks index concrete process ids; a symmetry representative permutes
 //! them), and to crash-free budgets (a crash is an extra, always-enabled
 //! transition the sibling branch never covered).
@@ -56,21 +57,20 @@ pub const MAX_SLEEP_PROCS: usize = 32;
 
 /// Should the safety DFS thread sleep sets through this traversal?
 ///
-/// Every condition is load-bearing (see the module docs): `dynamic` is
-/// the mode opt-in, `safety_dfs` excludes the progress/liveness graph
-/// builds (they consume *edges*, which sleeping prunes), `use_sym`
-/// excludes the symmetry quotient (masks index concrete pids),
+/// Only the safety DFS asks: the progress and liveness graph builds
+/// consume *edges*, which sleeping prunes. Every condition is
+/// load-bearing (see the module docs): `dynamic` is the mode opt-in,
+/// `use_sym` excludes the symmetry quotient (masks index concrete pids),
 /// `crash_budget` excludes crash branching (crashes are always enabled,
 /// never covered by a sibling), and `n` bounds the mask width.
 pub(crate) fn sleep_sets_active(
     por: bool,
     dynamic: bool,
-    safety_dfs: bool,
     use_sym: bool,
     crash_budget: u32,
     n: usize,
 ) -> bool {
-    por && dynamic && safety_dfs && !use_sym && crash_budget == 0 && n <= MAX_SLEEP_PROCS
+    por && dynamic && !use_sym && crash_budget == 0 && n <= MAX_SLEEP_PROCS
 }
 
 /// Did two steps with these footprints race, as far as dynamic pruning
@@ -447,14 +447,13 @@ mod tests {
 
     #[test]
     fn sleep_gate_requires_every_condition() {
-        assert!(sleep_sets_active(true, true, true, false, 0, 3));
+        assert!(sleep_sets_active(true, true, false, 0, 3));
         for bad in [
-            sleep_sets_active(false, true, true, false, 0, 3),
-            sleep_sets_active(true, false, true, false, 0, 3),
-            sleep_sets_active(true, true, false, false, 0, 3),
-            sleep_sets_active(true, true, true, true, 0, 3),
-            sleep_sets_active(true, true, true, false, 1, 3),
-            sleep_sets_active(true, true, true, false, 0, MAX_SLEEP_PROCS + 1),
+            sleep_sets_active(false, true, false, 0, 3),
+            sleep_sets_active(true, false, false, 0, 3),
+            sleep_sets_active(true, true, true, 0, 3),
+            sleep_sets_active(true, true, false, 1, 3),
+            sleep_sets_active(true, true, false, 0, MAX_SLEEP_PROCS + 1),
         ] {
             assert!(!bad);
         }

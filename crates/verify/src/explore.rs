@@ -13,13 +13,15 @@
 //! The DFS safety explorer ([`explore`]), the progress checker
 //! ([`check_progress`]), and the fair-cycle liveness engine
 //! ([`crate::liveness::check_liveness`]) are all thin clients of one
-//! unified traversal driver (`GraphBuilder` in `crate::graph`,
-//! configured by a `TraversalSpec`): the same successor function,
-//! canonical interning, crash branching, budget accounting, and
-//! ample-set selection — so a reduction is implemented (and argued
-//! sound) once, and every property benefits from it. Each entry point
-//! takes the system's [`SymmetryGroup`]; callers without symmetry pass
-//! [`SymmetryGroup::trivial`].
+//! unified traversal driver (`GraphBuilder` in `crate::graph`): the same
+//! successor function, canonical interning, crash branching, budget
+//! accounting, and ample-set selection — so a reduction is implemented
+//! (and argued sound) once, and every property benefits from it. The
+//! explorer calls the driver's safety DFS; the progress and liveness
+//! checkers call its graph build, naming their property, and re-derive
+//! their witnesses through the driver's one schedule re-derivation
+//! routine. Each entry point takes the system's [`SymmetryGroup`];
+//! callers without symmetry pass [`SymmetryGroup::trivial`].
 //!
 //! Every driver keeps its visited states in one packed, arena-interned
 //! store with an open-addressed digest index (`crate::store`). Its
@@ -89,7 +91,7 @@
 //!   soundness argument.
 //!
 //! Progress violations carry a concrete schedule to the stuck state,
-//! reconstructed from predecessor edges of the state graph, which
+//! re-derived along the creator tree of the state graph, which
 //! [`replay`] accepts like any safety-violation schedule.
 
 use std::fmt;
@@ -98,10 +100,7 @@ use std::hash::Hash;
 use cfc_core::{Memory, OpResult, Process, ProcessId, Status, Step, SymmetryGroup, Value};
 
 use crate::analysis::MayAccessMode;
-use crate::graph::{
-    canonicalize, expand_step, full_hash, AmpleMode, Engine, GraphBuilder, BuiltGraph, Node,
-    Order, TraversalSpec,
-};
+use crate::graph::{canonicalize, full_hash, GraphBuilder, GraphProperty, Node};
 use crate::telemetry::{self, Phase, Sample, StoreFootprint};
 
 /// Limits and reduction switches for an exploration.
@@ -432,17 +431,7 @@ where
     FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
     FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
 {
-    let spec = TraversalSpec {
-        order: Order::Dfs,
-        record_edges: false,
-        ample_mode: AmpleMode::Safety,
-        symmetry: symmetry.clone(),
-        normalizer: None,
-        served: None,
-        crash_budget: config.max_crashes,
-        phase: Phase::SafetyDfs,
-    };
-    let mut builder = GraphBuilder::new(memory, config, spec, procs.len());
+    let mut builder = GraphBuilder::new(memory, config, symmetry.clone(), procs.len());
     let t = builder.run_dfs(procs, state_check, terminal_check)?;
     Ok(ExploreStats {
         states: t.states,
@@ -530,7 +519,7 @@ impl ProgressStats {
 ///
 /// Returns a [`Violation`] naming a stuck state if one exists — its
 /// schedule is a concrete path from the initial state to (an orbit
-/// sibling of) the stuck state, reconstructed from predecessor edges,
+/// sibling of) the stuck state, re-derived along the creator tree,
 /// and [`replay`] accepts it — a state-budget error for oversized
 /// systems, or a memory error.
 ///
@@ -555,18 +544,8 @@ where
     let tel = telemetry::runtime(config.progress);
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::ProgressCheck);
-    let spec = TraversalSpec {
-        order: Order::Bfs,
-        record_edges: true,
-        ample_mode: AmpleMode::Progress,
-        symmetry: symmetry.clone(),
-        normalizer: None,
-        served: None,
-        crash_budget: config.max_crashes,
-        phase: Phase::ProgressBfs,
-    };
-    let mut builder = GraphBuilder::new(memory, config, spec, n);
-    let (g, t) = builder.build_graph(procs.clone())?;
+    let mut builder = GraphBuilder::new(memory, config, symmetry.clone(), n);
+    let (g, t) = builder.build_graph(procs.clone(), GraphProperty::Progress)?;
     let mut stats = ProgressStats {
         states: t.states,
         transitions: t.transitions,
@@ -600,8 +579,7 @@ where
 
     if let Some(stuck) = (0..states).find(|&i| !can_finish[i]) {
         let stuck_count = can_finish.iter().filter(|c| !**c).count();
-        let engine = builder.engine();
-        let schedule = recover_schedule(engine, engine.root(procs), stuck, &g)?;
+        let (schedule, _) = builder.engine().derive_stem(&g, None, procs, stuck as u32)?;
         return Err(ExploreError::Violation(Box::new(Violation {
             schedule,
             message: format!(
@@ -611,72 +589,8 @@ where
         })));
     }
 
-    stats.wall_ns = check_span.finish(Sample {
-        states: stats.states as u64,
-        transitions: stats.transitions,
-        frontier: 0,
-        depth: 0,
-        states_pruned_por: stats.states_pruned_por,
-        orbits_merged: stats.orbits_merged,
-        transitions_slept: 0,
-        footprint: stats.footprint,
-    });
+    stats.wall_ns = check_span.finish(t.sample(0, 0));
     Ok(stats)
-}
-
-/// Reconstructs a concrete, [`replay`]-able schedule from the initial
-/// state to (an orbit sibling of) state `stuck` of the progress graph.
-///
-/// The id path comes from the creator tree (`first_pred`, whose entries
-/// are strictly smaller than their children, so the chain terminates at
-/// the root). Because the graph stores canonical representatives, an
-/// edge `a → b` only promises that *some* step of *some* concrete member
-/// of orbit `a` lands in orbit `b`; the walk below re-derives the
-/// concrete witness: starting from the real initial state, it finds at
-/// every hop a step (or crash) whose successor canonicalizes to the next
-/// representative — one always exists, because permuting a symmetry
-/// class is an automorphism of the transition relation.
-fn recover_schedule<P: Process + Clone + Eq + Hash>(
-    engine: &Engine<P>,
-    root: Node<P>,
-    stuck: usize,
-    g: &BuiltGraph<P>,
-) -> Result<Vec<ScheduleStep>, ExploreError> {
-    let mut path: Vec<usize> = vec![stuck];
-    while *path.last().expect("path is nonempty") != 0 {
-        let id = *path.last().expect("path is nonempty");
-        path.push(g.first_pred[id] as usize);
-    }
-    path.reverse();
-
-    let n = root.status.len();
-    let mut cur = root;
-    let mut schedule = Vec::with_capacity(path.len() - 1);
-    for &next in &path[1..] {
-        let target = &g.node(next as u32);
-        let mut found = None;
-        for i in (0..n).filter(|&i| cur.status[i] == Status::Running) {
-            let succ = expand_step(&cur, i, engine.template())?;
-            if engine.matches_canonical(&succ, target) {
-                found = Some((ScheduleStep::Step(ProcessId::new(i as u32)), succ));
-                break;
-            }
-            if cur.crashes_left > 0 {
-                let mut crashed = cur.clone();
-                crashed.status[i] = Status::Crashed;
-                crashed.crashes_left -= 1;
-                if engine.matches_canonical(&crashed, target) {
-                    found = Some((ScheduleStep::Crash(ProcessId::new(i as u32)), crashed));
-                    break;
-                }
-            }
-        }
-        let (step, succ) =
-            found.expect("every edge of the canonical quotient has a concrete witness");
-        schedule.push(step);
-        cur = succ;
-    }
-    Ok(schedule)
 }
 
 /// The final state of a replayed schedule: the trace plus everything

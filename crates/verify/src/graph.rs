@@ -20,16 +20,24 @@
 //!   (quiescence is a property of the graph, not of the per-state
 //!   observation) and instead relies on the *fresh-successor* proviso —
 //!   see the soundness notes on [`AmpleMode::Progress`];
-//! * [`GraphBuilder`] — the single traversal loop, configured by a
-//!   [`TraversalSpec`] (search order, edge recording, ample mode,
-//!   symmetry group, state normalizer, crash budget). The DFS entry
-//!   point ([`GraphBuilder::run_dfs`]) memoizes concrete states keyed
-//!   canonically at pop time and invokes per-state checks; the BFS entry
-//!   point ([`GraphBuilder::build_graph`]) interns one canonical
-//!   representative per orbit and returns the labeled [`BuiltGraph`].
-//!   The interning discipline, crash branching, budget accounting, and
-//!   reduction bookkeeping live here exactly once, over the one packed
-//!   visited store of `crate::store`.
+//! * [`GraphBuilder`] — the traversal driver, with one entry point per
+//!   search. [`GraphBuilder::run_dfs`] is the safety DFS: it memoizes
+//!   concrete states keyed canonically at pop time, invokes per-state
+//!   checks, and always runs under [`AmpleMode::Safety`].
+//!   [`GraphBuilder::build_graph`] is the BFS behind progress and
+//!   liveness: it interns one canonical representative per orbit and
+//!   returns the labeled [`BuiltGraph`]; the [`GraphProperty`] it is
+//!   handed fixes the ample mode, the telemetry phase, the normalizer,
+//!   and the service labels. Symmetry, reductions, the crash budget, and
+//!   every limit come from the [`ExploreConfig`]. The interning
+//!   discipline, crash branching, budget accounting, and reduction
+//!   bookkeeping live here exactly once, over the one packed visited
+//!   store of `crate::store`;
+//! * witness re-derivation ([`Engine::derive_stem`],
+//!   [`Engine::derive_path`]) — the one routine that turns a path of
+//!   canonical graph nodes back into a concrete, replayable schedule,
+//!   for progress stuck states, liveness lassos, and bypass witnesses
+//!   alike.
 
 use std::cell::OnceCell;
 use std::collections::hash_map::DefaultHasher;
@@ -47,7 +55,7 @@ use crate::csr::{EdgeArena, ReversedCsr};
 use crate::dynamic::{observed_conflict, sleep_sets_active, SleepTable};
 use crate::explore::{ExploreConfig, ExploreError, ScheduleStep, StateView, Violation};
 use crate::store::{NodeStore, VisitOutcome};
-use crate::telemetry::{self, Phase, Sample, StoreFootprint};
+use crate::telemetry::{self, Phase, Sample, StoreFootprint, Telemetry};
 
 /// A global state of the explored system.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -143,6 +151,29 @@ pub(crate) fn expand_step<P: Process + Clone>(
         }
     }
     Ok(next)
+}
+
+/// The successor of `node` when the adversary crashes process `i`.
+fn crash_successor<P: Clone>(node: &Node<P>, i: usize) -> Node<P> {
+    let mut next = node.clone();
+    next.status[i] = Status::Crashed;
+    next.crashes_left -= 1;
+    next
+}
+
+/// A borrowed state normalizer (see `cfc_mutex::StateNormalizer` for the
+/// owned form and the bisimulation contract).
+pub(crate) type NormalizerFn<'a, P> = &'a dyn Fn(&mut [P], &mut [Value]);
+
+/// A borrowed service predicate over the stepping process's
+/// `(before, after)` local states.
+pub(crate) type ServedFn<'a, P> = &'a dyn Fn(&P, &P) -> bool;
+
+/// Applies `normalizer`, if there is one, to `node` in place.
+fn normalize<P>(normalizer: Option<NormalizerFn<'_, P>>, node: &mut Node<P>) {
+    if let Some(f) = normalizer {
+        f(&mut node.procs, &mut node.values);
+    }
 }
 
 /// Which property the search preserves — this decides how aggressive the
@@ -294,19 +325,22 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         }
     }
 
-    /// Whether the configuration asks for automaton-derived future sets
-    /// — both the static [`MayAccessMode::Automaton`] and the dynamic
-    /// mode build on the same per-location index (meaningful only with
-    /// partial-order reduction on — the engine's `por` flag already
-    /// accounts for the normalizer override).
-    pub(crate) fn wants_future_index(&self) -> bool {
-        self.config.por && self.config.may_access != MayAccessMode::Declared
-    }
-
-    /// Installs the future-access index ample selection consults under
-    /// [`MayAccessMode::Automaton`].
-    pub(crate) fn set_future_index(&mut self, index: FutureIndex<P>) {
-        self.future = Some(index);
+    /// Extracts and installs the future-access index of `procs`, in its
+    /// own telemetry span, when the configuration asks for
+    /// automaton-derived future sets — both the static
+    /// [`MayAccessMode::Automaton`] and the dynamic mode build on the same
+    /// per-location index. Meaningful only with partial-order reduction
+    /// on; a graph build clears `por` for a normalizer before calling.
+    fn install_future_index(&mut self, tel: &Telemetry, procs: &[P]) {
+        if self.config.por && self.config.may_access != MayAccessMode::Declared {
+            let span = tel.span(Phase::ExtractAutomaton);
+            let index = FutureIndex::build(self.template.layout(), procs);
+            span.finish(Sample {
+                states: index.len() as u64,
+                ..Sample::default()
+            });
+            self.future = Some(index);
+        }
     }
 
     /// The initial node: all processes running, the template memory image,
@@ -357,6 +391,110 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         }
     }
 
+    /// The successor of `cur` under one scheduling decision, normalized
+    /// like every successor the graph build interns.
+    pub(crate) fn successor(
+        &self,
+        cur: &Node<P>,
+        step: ScheduleStep,
+        normalizer: Option<NormalizerFn<'_, P>>,
+    ) -> Result<Node<P>, ExploreError> {
+        let mut next = match step {
+            ScheduleStep::Step(p) => expand_step(cur, p.index(), &self.template)?,
+            ScheduleStep::Crash(p) => crash_successor(cur, p.index()),
+        };
+        normalize(normalizer, &mut next);
+        Ok(next)
+    }
+
+    /// The first scheduling decision out of the concrete state `cur`
+    /// whose successor falls into the orbit of `target`: the hinted
+    /// process first, then every runnable process in pid order, each
+    /// step tried before its crash.
+    fn derive_step(
+        &self,
+        cur: &Node<P>,
+        target: &Node<P>,
+        hint: Option<usize>,
+        normalizer: Option<NormalizerFn<'_, P>>,
+    ) -> Result<(ScheduleStep, Node<P>), ExploreError> {
+        let n = cur.status.len();
+        let order = hint
+            .into_iter()
+            .chain((0..n).filter(|&i| Some(i) != hint))
+            .filter(|&i| cur.status[i].runnable());
+        for i in order {
+            let pid = ProcessId::new(i as u32);
+            let crash = (cur.crashes_left > 0).then_some(ScheduleStep::Crash(pid));
+            for step in std::iter::once(ScheduleStep::Step(pid)).chain(crash) {
+                let succ = self.successor(cur, step, normalizer)?;
+                if self.matches_canonical(&succ, target) {
+                    return Ok((step, succ));
+                }
+            }
+        }
+        unreachable!("every edge of the canonical quotient has a concrete witness")
+    }
+
+    /// Re-derives the concrete run that follows `hops` — `(node, pid
+    /// hint)` pairs of `g` — from the concrete state `cur`, appending
+    /// its decisions to `schedule` and returning the state it reaches.
+    ///
+    /// Because `g` stores canonical representatives, an edge `a → b`
+    /// only promises that *some* step of *some* member of orbit `a`
+    /// lands in orbit `b`; each hop therefore takes the first concrete
+    /// step (or crash) whose successor falls into the next orbit. One
+    /// always exists, because permuting a symmetry class is an
+    /// automorphism of the transition relation. This is the only place
+    /// a graph path becomes a schedule: progress stuck states, liveness
+    /// lassos, and bypass witnesses are all re-derived through it.
+    ///
+    /// # Errors
+    ///
+    /// A memory error while stepping a concrete state.
+    pub(crate) fn derive_path(
+        &self,
+        g: &BuiltGraph<P>,
+        normalizer: Option<NormalizerFn<'_, P>>,
+        mut cur: Node<P>,
+        hops: impl IntoIterator<Item = (u32, Option<usize>)>,
+        schedule: &mut Vec<ScheduleStep>,
+    ) -> Result<Node<P>, ExploreError> {
+        for (target, hint) in hops {
+            let (step, next) = self.derive_step(&cur, &g.node(target), hint, normalizer)?;
+            schedule.push(step);
+            cur = next;
+        }
+        Ok(cur)
+    }
+
+    /// Re-derives a concrete schedule from the initial state of `procs`
+    /// to (an orbit sibling of) node `id` of `g`, along the creator
+    /// tree, returning the schedule and the concrete state it reaches.
+    ///
+    /// # Errors
+    ///
+    /// A memory error while stepping a concrete state.
+    pub(crate) fn derive_stem(
+        &self,
+        g: &BuiltGraph<P>,
+        normalizer: Option<NormalizerFn<'_, P>>,
+        procs: Vec<P>,
+        id: u32,
+    ) -> Result<(Vec<ScheduleStep>, Node<P>), ExploreError> {
+        // Creator ids strictly decrease, so the chain ends at the root.
+        let mut chain = vec![id];
+        while let Some(&v) = chain.last().filter(|&&v| v != 0) {
+            chain.push(g.first_pred[v as usize]);
+        }
+        let mut root = self.root(procs);
+        normalize(normalizer, &mut root);
+        let mut stem = Vec::with_capacity(chain.len() - 1);
+        let hops = chain.iter().rev().skip(1).map(|&v| (v, None));
+        let end = self.derive_path(g, normalizer, root, hops, &mut stem)?;
+        Ok((stem, end))
+    }
+
     /// Computes the successors of `node` (whose runnable processes are
     /// `runnable`): a single ample successor when partial-order reduction
     /// applies, the full enabled set (crash transitions first) otherwise.
@@ -393,9 +531,7 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
         let mut out = Vec::with_capacity(runnable.len() * if crashing { 2 } else { 1 });
         for &i in runnable {
             if crashing {
-                let mut next = node.clone();
-                next.status[i] = Status::Crashed;
-                next.crashes_left -= 1;
+                let next = crash_successor(node, i);
                 out.push((ScheduleStep::Crash(ProcessId::new(i as u32)), next));
             }
             // Reuse any successor the ample selection already computed for
@@ -540,86 +676,43 @@ impl<P: Process + Clone + Eq + Hash> Engine<P> {
 // The unified traversal driver.
 // ---------------------------------------------------------------------
 
-/// The search order of a [`GraphBuilder`] traversal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Order {
-    /// Depth-first with per-state property checks and schedule tracking
-    /// ([`GraphBuilder::run_dfs`]): the safety explorer's order.
-    Dfs,
-    /// Breadth-first interning one canonical representative per orbit
-    /// ([`GraphBuilder::build_graph`]): the progress and liveness order.
-    Bfs,
-}
-
-/// A borrowed state normalizer (see `cfc_mutex::StateNormalizer` for the
-/// owned form and the bisimulation contract).
-pub(crate) type NormalizerFn<'a, P> = &'a dyn Fn(&mut [P], &mut [Value]);
-
-/// A borrowed service predicate over the stepping process's
-/// `(before, after)` local states.
-pub(crate) type ServedFn<'a, P> = &'a dyn Fn(&P, &P) -> bool;
-
-/// The configuration of one [`GraphBuilder`] traversal: everything the
-/// three historical search loops disagreed on, made explicit.
-pub(crate) struct TraversalSpec<'a, P> {
-    /// Search order; must match the entry point called.
-    pub(crate) order: Order,
-    /// Record labeled forward edges and the creator tree (BFS only).
-    /// The safety DFS keeps no graph; progress and liveness need one.
-    pub(crate) record_edges: bool,
-    /// Which ample-set conditions partial-order reduction must respect.
-    pub(crate) ample_mode: AmpleMode,
-    /// The symmetry group canonical visited keys are computed under.
-    pub(crate) symmetry: SymmetryGroup,
-    /// Optional behavioral-quotient normalizer applied to the root and to
-    /// every successor before interning (see
-    /// `cfc_mutex::StateNormalizer` for the bisimulation contract).
-    /// Partial-order reduction is force-disabled while one is active —
-    /// the ample bookkeeping cannot see through the abstraction — and
-    /// reported schedules replay *modulo* the quotient: same sections,
-    /// outputs, and statuses, not necessarily byte-equal register values.
-    pub(crate) normalizer: Option<NormalizerFn<'a, P>>,
-    /// Optional service predicate `(before, after)` on the stepping
-    /// process, recorded on forward edges ([`GEdge::served`]); only
-    /// meaningful with `record_edges`.
-    pub(crate) served: Option<ServedFn<'a, P>>,
-    /// How many crash transitions the adversary may inject; overrides
-    /// [`ExploreConfig::max_crashes`] so wrappers that thread a separate
-    /// crash budget state it in one place.
-    pub(crate) crash_budget: u32,
-    /// The telemetry phase this traversal's span and snapshots are
-    /// attributed to (the BFS loop serves both the progress checker and
-    /// the liveness graph builder; the phase tells them apart in the
-    /// event stream).
-    pub(crate) phase: Phase,
-}
-
-impl<P> std::fmt::Debug for TraversalSpec<'_, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraversalSpec")
-            .field("order", &self.order)
-            .field("record_edges", &self.record_edges)
-            .field("ample_mode", &self.ample_mode)
-            .field("normalizer", &self.normalizer.is_some())
-            .field("served", &self.served.is_some())
-            .field("crash_budget", &self.crash_budget)
-            .field("phase", &self.phase)
-            .finish()
-    }
+/// The property a [`GraphBuilder::build_graph`] traversal serves. It
+/// fixes what differs between the two graph-building checkers: the
+/// ample-set conditions, the telemetry phase, the normalizer, and the
+/// service labels on edges.
+pub(crate) enum GraphProperty<'a, P> {
+    /// Possibility of progress ([`crate::explore::check_progress`]):
+    /// [`AmpleMode::Progress`], [`Phase::ProgressBfs`], no normalizer, no
+    /// service labels.
+    Progress,
+    /// Fair-cycle liveness ([`crate::liveness`]): [`AmpleMode::Liveness`],
+    /// [`Phase::LivenessGraph`], service labels on edges, and an optional
+    /// behavioral-quotient normalizer.
+    Liveness {
+        /// Applied to the root and to every successor before interning
+        /// (see `cfc_mutex::StateNormalizer` for the bisimulation
+        /// contract). Partial-order reduction is force-disabled while one
+        /// is active — the ample bookkeeping cannot see through the
+        /// abstraction — and re-derived schedules replay *modulo* the
+        /// quotient: same sections, outputs, and statuses, not
+        /// necessarily byte-equal register values.
+        normalizer: Option<NormalizerFn<'a, P>>,
+        /// The service predicate `(before, after)` on the stepping
+        /// process, recorded on forward edges ([`GEdge::served`]).
+        served: ServedFn<'a, P>,
+    },
 }
 
 /// The canonical state graph a BFS traversal produces: one interned
 /// representative per orbit (held packed in the [`NodeStore`]), labeled
-/// forward edges in CSR form (when recorded), the creator tree, and
-/// terminal flags.
+/// forward edges in CSR form, the creator tree, and terminal flags.
 pub(crate) struct BuiltGraph<P> {
     /// Canonical orbit representatives in discovery (BFS) order, one
     /// single-copy record per orbit; decode on demand via
     /// [`BuiltGraph::node`].
     pub(crate) store: NodeStore<P>,
     /// Labeled forward edges in CSR form, packed 6 bytes each in a
-    /// spillable arena; empty unless [`TraversalSpec::record_edges`] was
-    /// set.
+    /// spillable arena.
     pub(crate) edges: EdgeArena,
     /// The node that first generated each node (`u32::MAX` at the root);
     /// always strictly smaller than its child, so creator chains
@@ -680,11 +773,56 @@ pub(crate) struct TraversalStats {
     /// [`MayAccessMode::Dynamic`] only; zero everywhere else).
     pub(crate) transitions_slept: u64,
     /// Store/index/edge bytes and spill counts (`edge_bytes` is zero
-    /// for the DFS and for BFS without edge recording).
+    /// for the DFS, which records no graph).
     pub(crate) footprint: StoreFootprint,
     /// Wall time of the traversal, measured by the telemetry clock
     /// (ambient, so tests can inject a deterministic one).
     pub(crate) wall_ns: u64,
+}
+
+impl TraversalStats {
+    /// These counters as a telemetry sample, at the given frontier length
+    /// and DFS depth (both 0 for a final sample).
+    pub(crate) fn sample(&self, frontier: u64, depth: u64) -> Sample {
+        Sample {
+            states: self.states as u64,
+            transitions: self.transitions,
+            frontier,
+            depth,
+            states_pruned_por: self.states_pruned_por,
+            orbits_merged: self.orbits_merged,
+            transitions_slept: self.transitions_slept,
+            footprint: self.footprint,
+        }
+    }
+
+    /// Adds another traversal's counters into these (the liveness checker
+    /// sums its per-victim graph builds).
+    pub(crate) fn accumulate(&mut self, other: &TraversalStats) {
+        self.states += other.states;
+        self.transitions += other.transitions;
+        self.terminals += other.terminals;
+        self.states_pruned_por += other.states_pruned_por;
+        self.orbits_merged += other.orbits_merged;
+        self.transitions_slept += other.transitions_slept;
+        self.footprint.accumulate(&other.footprint);
+        self.wall_ns += other.wall_ns;
+    }
+}
+
+/// The footprint of a traversal's visited store plus what rides beside
+/// it: the DFS sleep table (counted as index bytes) or the BFS edges.
+fn footprint<P>(
+    store: &NodeStore<P>,
+    sleep_bytes: u64,
+    edges: Option<&EdgeArena>,
+) -> StoreFootprint {
+    StoreFootprint {
+        arena_bytes: store.arena_bytes(),
+        index_bytes: store.index_bytes() + sleep_bytes,
+        edge_bytes: edges.map_or(0, EdgeArena::heap_bytes),
+        spilled_buckets: store.spilled_buckets() + edges.map_or(0, EdgeArena::spilled_segs),
+    }
 }
 
 /// One link of a DFS schedule, shared structurally between stack entries:
@@ -757,79 +895,44 @@ fn materialize_path(link: &Option<Rc<PathLink>>) -> Vec<ScheduleStep> {
     out
 }
 
-/// The unified traversal driver: an [`Engine`] plus a [`TraversalSpec`],
-/// running the one canonical search loop every checker in this crate is
-/// a client of.
-pub(crate) struct GraphBuilder<'a, P> {
+/// The unified traversal driver: an [`Engine`] running the one canonical
+/// search loop every checker in this crate is a client of. Symmetry,
+/// reductions, the crash budget, and every limit come from the engine's
+/// [`ExploreConfig`]; each entry point fixes the rest.
+pub(crate) struct GraphBuilder<P> {
     engine: Engine<P>,
-    spec: TraversalSpec<'a, P>,
-    max_states: usize,
-    spill_budget: Option<usize>,
-    progress: bool,
 }
 
-impl<P> std::fmt::Debug for GraphBuilder<'_, P> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GraphBuilder")
-            .field("spec", &self.spec)
-            .field("max_states", &self.max_states)
-            .finish()
-    }
-}
-
-impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
-    /// Builds a driver for `n` processes over `memory`.
-    ///
-    /// The spec's crash budget replaces `config.max_crashes`, and
-    /// partial-order reduction is force-disabled when the spec carries a
-    /// normalizer (the ample bookkeeping cannot see through the
-    /// abstraction — asserted by the driver edge-case suite).
+impl<P: Process + Clone + Eq + Hash> GraphBuilder<P> {
+    /// Builds a driver for `n` processes over `memory`, keying visited
+    /// states canonically under `symmetry` when `config.symmetry` is on.
     ///
     /// # Panics
     ///
-    /// Panics if the spec's symmetry group is over a different process
-    /// count.
+    /// Panics if `symmetry` is over a different process count.
     pub(crate) fn new(
         memory: Memory,
         config: ExploreConfig,
-        spec: TraversalSpec<'a, P>,
+        symmetry: SymmetryGroup,
         n: usize,
     ) -> Self {
-        let engine_config = ExploreConfig {
-            max_crashes: spec.crash_budget,
-            por: config.por && spec.normalizer.is_none(),
-            ..config
-        };
-        let engine = Engine::new(memory, spec.symmetry.clone(), engine_config, n);
         GraphBuilder {
-            engine,
-            spec,
-            max_states: config.max_states,
-            spill_budget: config.spill_budget_bytes,
-            progress: config.progress,
+            engine: Engine::new(memory, symmetry, config, n),
         }
     }
 
     /// The underlying engine — for witness re-derivation against the
-    /// graph this builder produced (`matches_canonical`, `template`,
-    /// `root`).
+    /// graph this builder produced.
     pub(crate) fn engine(&self) -> &Engine<P> {
         &self.engine
     }
 
-    /// Applies the spec's normalizer (if any) to `node` in place.
-    fn normalize(normalizer: Option<NormalizerFn<'_, P>>, node: &mut Node<P>) {
-        if let Some(f) = normalizer {
-            f(&mut node.procs, &mut node.values);
-        }
-    }
-
-    /// Depth-first traversal with per-state property checks — the safety
-    /// explorer's loop, byte-identical to its historical search order:
-    /// states are memoized at pop time (keyed canonically under the
-    /// spec's symmetry group), `state_check` runs in every reachable
-    /// state, `terminal_check` in every quiescent one, and violations
-    /// carry the schedule that reached them.
+    /// The safety DFS: a depth-first traversal with per-state property
+    /// checks under [`AmpleMode::Safety`], byte-identical to the
+    /// historical search order: states are memoized at pop time (keyed
+    /// canonically under the symmetry group), `state_check` runs in every
+    /// reachable state, `terminal_check` in every quiescent one, and
+    /// violations carry the schedule that reached them.
     ///
     /// # Errors
     ///
@@ -845,24 +948,11 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         FS: FnMut(&StateView<'_, P>) -> Result<(), String>,
         FT: FnMut(&StateView<'_, P>) -> Result<(), String>,
     {
-        debug_assert_eq!(self.spec.order, Order::Dfs, "run_dfs needs Order::Dfs");
-        debug_assert!(!self.spec.record_edges, "the DFS records no graph");
         let n = procs.len();
-        let normalizer = self.spec.normalizer;
-        let mode = self.spec.ample_mode;
-        let tel = telemetry::runtime(self.progress);
-        let mut span = tel.span(self.spec.phase);
         let engine = &mut self.engine;
-
-        if engine.wants_future_index() {
-            let auto_span = tel.span(Phase::ExtractAutomaton);
-            let index = FutureIndex::build(engine.template().layout(), &procs);
-            auto_span.finish(Sample {
-                states: index.len() as u64,
-                ..Sample::default()
-            });
-            engine.set_future_index(index);
-        }
+        let tel = telemetry::runtime(engine.config.progress);
+        let mut span = tel.span(Phase::SafetyDfs);
+        engine.install_future_index(&tel, &procs);
         // Sleep-set pruning rides only on the safety DFS under dynamic
         // mode, concretely (no symmetry), crash-free, and within mask
         // width — see `crate::dynamic` for why each boundary is
@@ -870,15 +960,13 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         let sleep_on = sleep_sets_active(
             engine.config.por,
             engine.config.may_access == MayAccessMode::Dynamic,
-            mode == AmpleMode::Safety,
             engine.use_sym(),
-            self.spec.crash_budget,
+            engine.config.max_crashes,
             n,
         );
         let drop_races = engine.config.drop_races_on;
         let mut sleep = SleepTable::new();
-        let mut root = engine.root(procs);
-        Self::normalize(normalizer, &mut root);
+        let root = engine.root(procs);
 
         // Visited canonical states, held single-copy in the packed store.
         // With symmetry on, each entry also tracks the identity of the
@@ -887,7 +975,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         // from a plain revisit, by exact comparison (a hash could
         // collide and miscount).
         let mut visited: NodeStore<P> = NodeStore::new(
-            self.spill_budget,
+            engine.config.spill_budget_bytes,
             engine.template().layout(),
             &root,
             engine.use_sym(),
@@ -938,23 +1026,15 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             };
             if fresh {
                 stats.states += 1;
-                if stats.states > self.max_states {
+                if stats.states > engine.config.max_states {
                     return Err(ExploreError::StateBudget(stats.states));
                 }
                 span.tick(|| Sample {
-                    states: stats.states as u64,
-                    transitions: stats.transitions,
-                    frontier: stack.len() as u64,
-                    depth: path.as_ref().map_or(0, |l| l.depth as u64),
-                    states_pruned_por: stats.states_pruned_por,
-                    orbits_merged: stats.orbits_merged,
-                    transitions_slept: stats.transitions_slept,
-                    footprint: StoreFootprint {
-                        arena_bytes: visited.arena_bytes(),
-                        index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
-                        edge_bytes: 0,
-                        spilled_buckets: visited.spilled_buckets(),
-                    },
+                    footprint: footprint(&visited, sleep.heap_bytes() as u64, None),
+                    ..stats.sample(
+                        stack.len() as u64,
+                        path.as_ref().map_or(0, |l| l.depth as u64),
+                    )
                 });
 
                 let mem = engine.memory_of(&node);
@@ -995,8 +1075,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             }
 
             let depth = path.as_ref().map_or(0, |l| l.depth) + 1;
-            match engine.expand(&node, &runnable, mode, |key| visited.contains(key))? {
-                Expansion::Ample { pid, mut succ, .. } => {
+            match engine.expand(&node, &runnable, AmpleMode::Safety, |key| visited.contains(key))? {
+                Expansion::Ample { pid, succ, .. } => {
                     stats.states_pruned_por += runnable.len() as u64 - 1;
                     if sleep_on && mask & (1 << pid.index()) != 0 {
                         // The single ample transition is asleep: a
@@ -1013,7 +1093,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                     } else {
                         0
                     };
-                    Self::normalize(normalizer, &mut succ);
                     let link = Rc::new(PathLink {
                         step: ScheduleStep::Step(pid),
                         depth,
@@ -1032,7 +1111,7 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                             .iter()
                             .map(|&i| Footprint::of_step(&node.procs[i].current(), layout))
                             .collect();
-                        for (k, (step, mut succ)) in succs.into_iter().enumerate() {
+                        for (k, (step, succ)) in succs.into_iter().enumerate() {
                             let pid_bit = 1u32 << runnable[k];
                             if mask & pid_bit != 0 {
                                 stats.transitions_slept += 1;
@@ -1057,7 +1136,6 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                                     child_mask |= bit;
                                 }
                             }
-                            Self::normalize(normalizer, &mut succ);
                             let link = Rc::new(PathLink {
                                 step,
                                 depth,
@@ -1066,9 +1144,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                             stack.push((succ, Some(link), child_mask));
                         }
                     } else {
-                        for (step, mut succ) in succs {
+                        for (step, succ) in succs {
                             stats.transitions += 1;
-                            Self::normalize(normalizer, &mut succ);
                             let link = Rc::new(PathLink {
                                 step,
                                 depth,
@@ -1080,31 +1157,19 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 }
             }
         }
-        stats.footprint = StoreFootprint {
-            arena_bytes: visited.arena_bytes(),
-            index_bytes: visited.index_bytes() + sleep.heap_bytes() as u64,
-            edge_bytes: 0,
-            spilled_buckets: visited.spilled_buckets(),
-        };
-        stats.wall_ns = span.finish(Sample {
-            states: stats.states as u64,
-            transitions: stats.transitions,
-            frontier: 0,
-            depth: 0,
-            states_pruned_por: stats.states_pruned_por,
-            orbits_merged: stats.orbits_merged,
-            transitions_slept: stats.transitions_slept,
-            footprint: stats.footprint,
-        });
+        stats.footprint = footprint(&visited, sleep.heap_bytes() as u64, None);
+        stats.wall_ns = span.finish(stats.sample(0, 0));
         Ok(stats)
     }
 
-    /// Breadth-first traversal interning one canonical representative per
-    /// orbit — the loop behind the progress checker and the liveness
-    /// graph builder, byte-identical to their historical search order:
-    /// the same interning discipline (single-copy store keyed by digest
-    /// buckets), crash branching, ample selection, budget accounting, and
-    /// reduction bookkeeping, with edge recording controlled by the spec.
+    /// The graph build behind the progress and liveness checkers: a
+    /// breadth-first traversal interning one canonical representative
+    /// per orbit and recording labeled forward edges, byte-identical to
+    /// the historical search order: the same interning discipline
+    /// (single-copy store keyed by digest buckets), crash branching,
+    /// ample selection, budget accounting, and reduction bookkeeping.
+    /// `property` fixes the ample mode, the telemetry phase, the
+    /// normalizer, and the service labels.
     ///
     /// # Errors
     ///
@@ -1113,49 +1178,44 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
     pub(crate) fn build_graph(
         &mut self,
         procs: Vec<P>,
+        property: GraphProperty<'_, P>,
     ) -> Result<(BuiltGraph<P>, TraversalStats), ExploreError> {
-        debug_assert_eq!(self.spec.order, Order::Bfs, "build_graph needs Order::Bfs");
         let n = procs.len();
-        let normalizer = self.spec.normalizer;
-        let served_hook = self.spec.served;
-        let record = self.spec.record_edges;
-        let mode = self.spec.ample_mode;
-        let tel = telemetry::runtime(self.progress);
-        let mut span = tel.span(self.spec.phase);
+        let (mode, phase, normalizer, served_hook) = match property {
+            GraphProperty::Progress => (AmpleMode::Progress, Phase::ProgressBfs, None, None),
+            GraphProperty::Liveness { normalizer, served } => {
+                (AmpleMode::Liveness, Phase::LivenessGraph, normalizer, Some(served))
+            }
+        };
         let engine = &mut self.engine;
+        // A normalizer suspends partial-order reduction: the ample
+        // bookkeeping cannot see through the abstraction (asserted by the
+        // driver edge-case suite).
+        engine.config.por &= normalizer.is_none();
+        let tel = telemetry::runtime(engine.config.progress);
+        let mut span = tel.span(phase);
         let mut stats = TraversalStats::default();
-
-        if engine.wants_future_index() {
-            let auto_span = tel.span(Phase::ExtractAutomaton);
-            let index = FutureIndex::build(engine.template().layout(), &procs);
-            auto_span.finish(Sample {
-                states: index.len() as u64,
-                ..Sample::default()
-            });
-            engine.set_future_index(index);
-        }
+        engine.install_future_index(&tel, &procs);
         let mut root = engine.root(procs);
-        Self::normalize(normalizer, &mut root);
+        normalize(normalizer, &mut root);
         let root_canon = engine.canonical_of(&root);
 
-        let mut store: NodeStore<P> = NodeStore::new(
-            self.spill_budget,
-            engine.template().layout(),
-            &root_canon,
-            false,
-        );
+        let spill_budget = engine.config.spill_budget_bytes;
+        let max_states = engine.config.max_states;
+        let mut store: NodeStore<P> =
+            NodeStore::new(spill_budget, engine.template().layout(), &root_canon, false);
         let (root_id, root_fresh) = store.intern(&root_canon);
         debug_assert!(root_fresh && root_id == 0, "the root interns first");
         let mut g = BuiltGraph {
             store,
-            edges: EdgeArena::new(self.spill_budget),
+            edges: EdgeArena::new(spill_budget),
             first_pred: vec![u32::MAX],
             terminal: vec![false],
             rev: OnceCell::new(),
         };
         // The budget is inclusive: a graph of exactly `max_states` nodes
         // completes; the first intern beyond it aborts immediately.
-        if g.store.len() > self.max_states {
+        if g.store.len() > max_states {
             return Err(ExploreError::StateBudget(g.store.len()));
         }
 
@@ -1163,18 +1223,8 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
         while cursor < g.store.len() {
             span.tick(|| Sample {
                 states: g.store.len() as u64,
-                transitions: stats.transitions,
-                frontier: (g.store.len() - cursor) as u64,
-                depth: 0,
-                states_pruned_por: stats.states_pruned_por,
-                orbits_merged: stats.orbits_merged,
-                transitions_slept: 0,
-                footprint: StoreFootprint {
-                    arena_bytes: g.store.arena_bytes(),
-                    index_bytes: g.store.index_bytes(),
-                    edge_bytes: g.edges.heap_bytes(),
-                    spilled_buckets: g.store.spilled_buckets() + g.edges.spilled_segs(),
-                },
+                footprint: footprint(&g.store, 0, Some(&g.edges)),
+                ..stats.sample((g.store.len() - cursor) as u64, 0)
             });
             let current = g.store.node(cursor as u32);
             let runnable: Vec<usize> = (0..n)
@@ -1206,18 +1256,14 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
             };
             for (step, mut succ, canon) in succs {
                 stats.transitions += 1;
-                Self::normalize(normalizer, &mut succ);
-                let label = record.then(|| {
-                    let (pid, crash) = match step {
-                        ScheduleStep::Step(p) => (p.index() as u32, false),
-                        ScheduleStep::Crash(p) => (p.index() as u32, true),
-                    };
-                    let served = !crash
-                        && served_hook.is_some_and(|f| {
-                            f(&current.procs[pid as usize], &succ.procs[pid as usize])
-                        });
-                    (pid, crash, served)
-                });
+                normalize(normalizer, &mut succ);
+                let (pid, crash) = match step {
+                    ScheduleStep::Step(p) => (p.index() as u32, false),
+                    ScheduleStep::Crash(p) => (p.index() as u32, true),
+                };
+                let p = pid as usize;
+                let served =
+                    !crash && served_hook.is_some_and(|f| f(&current.procs[p], &succ.procs[p]));
                 let (canon, permuted) = match canon {
                     Some(canon) => {
                         let permuted = canon != succ;
@@ -1234,44 +1280,28 @@ impl<'a, P: Process + Clone + Eq + Hash> GraphBuilder<'a, P> {
                 if fresh {
                     g.first_pred.push(cursor as u32);
                     g.terminal.push(false);
-                    if g.store.len() > self.max_states {
+                    if g.store.len() > max_states {
                         return Err(ExploreError::StateBudget(g.store.len()));
                     }
                 } else if permuted {
                     stats.orbits_merged += 1;
                 }
-                if let Some((pid, crash, served)) = label {
-                    // The CSR arena appends at its open node, which is
-                    // exactly the cursor: edges are recorded only while
-                    // expanding it, and the seal below closes its range.
-                    g.edges.push(GEdge {
-                        to,
-                        pid,
-                        crash,
-                        served,
-                    });
-                }
+                // The CSR arena appends at its open node, which is
+                // exactly the cursor: edges are recorded only while
+                // expanding it, and the seal below closes its range.
+                g.edges.push(GEdge {
+                    to,
+                    pid,
+                    crash,
+                    served,
+                });
             }
             g.edges.seal();
             cursor += 1;
         }
         stats.states = g.store.len();
-        stats.footprint = StoreFootprint {
-            arena_bytes: g.store.arena_bytes(),
-            index_bytes: g.store.index_bytes(),
-            edge_bytes: g.edges.heap_bytes(),
-            spilled_buckets: g.store.spilled_buckets() + g.edges.spilled_segs(),
-        };
-        stats.wall_ns = span.finish(Sample {
-            states: stats.states as u64,
-            transitions: stats.transitions,
-            frontier: 0,
-            depth: 0,
-            states_pruned_por: stats.states_pruned_por,
-            orbits_merged: stats.orbits_merged,
-            transitions_slept: 0,
-            footprint: stats.footprint,
-        });
+        stats.footprint = footprint(&g.store, 0, Some(&g.edges));
+        stats.wall_ns = span.finish(stats.sample(0, 0));
         Ok((g, stats))
     }
 }
@@ -1281,7 +1311,7 @@ mod tests {
     use super::*;
     use cfc_core::{Layout, Op, RegisterId};
 
-    /// A process bumping a private counter `laps` times, tracking a lap
+    /// A process bumping its own counter `laps` times, tracking a lap
     /// count in otherwise-dead local state the normalizer can fold.
     #[derive(Clone, Debug, PartialEq, Eq, Hash)]
     struct Bumper {
@@ -1313,114 +1343,56 @@ mod tests {
                 self.done += 1;
             }
         }
+        fn may_access(&self, out: &mut RegisterSet) -> bool {
+            out.insert(self.reg);
+            true
+        }
     }
 
+    /// Two bumpers, each on a register of its own.
     fn bumper_system(laps: u8) -> (Memory, Vec<Bumper>) {
         let mut layout = Layout::new();
-        let r = layout.register("r", 2, 0);
+        let regs = [layout.register("r0", 2, 0), layout.register("r1", 2, 0)];
         let memory = Memory::new(layout, 2).unwrap();
-        let mk = || Bumper {
-            reg: r,
-            laps,
-            done: 0,
-            scratch: 0,
-            pc: 0,
-        };
-        (memory, vec![mk(), mk()])
+        let procs = regs
+            .into_iter()
+            .map(|reg| Bumper {
+                reg,
+                laps,
+                done: 0,
+                scratch: 0,
+                pc: 0,
+            })
+            .collect();
+        (memory, procs)
     }
 
-    fn spec<'a, P>(order: Order, record_edges: bool) -> TraversalSpec<'a, P> {
-        TraversalSpec {
-            order,
-            record_edges,
-            ample_mode: AmpleMode::Safety,
-            symmetry: SymmetryGroup::trivial(2),
-            normalizer: None,
-            served: None,
-            crash_budget: 0,
-            phase: match order {
-                Order::Dfs => Phase::SafetyDfs,
-                Order::Bfs => Phase::ProgressBfs,
-            },
-        }
+    /// Builds the graph of `procs` under `property`, without symmetry.
+    fn build(
+        memory: Memory,
+        procs: Vec<Bumper>,
+        config: ExploreConfig,
+        property: GraphProperty<'_, Bumper>,
+    ) -> (BuiltGraph<Bumper>, TraversalStats) {
+        let n = procs.len();
+        GraphBuilder::new(memory, config, SymmetryGroup::trivial(n), n)
+            .build_graph(procs, property)
+            .unwrap()
     }
 
-    /// The spec combination no public wrapper exercises yet: a DFS with
-    /// a normalizer. Folding the dead scratch must merge states (the
-    /// scratch multiplies the space by the values read), while the
-    /// reachable terminal observations stay identical.
-    #[test]
-    fn dfs_with_normalizer_merges_dead_scratch() {
-        let normalizer = |procs: &mut [Bumper], _values: &mut [Value]| {
-            for p in procs {
-                p.scratch = 0;
-            }
-        };
-        let run = |normalize: bool| {
-            let (memory, procs) = bumper_system(2);
-            let mut spec = spec(Order::Dfs, false);
-            spec.normalizer = normalize.then_some(&normalizer as &dyn Fn(&mut _, &mut _));
-            let mut builder =
-                GraphBuilder::new(memory, ExploreConfig::default(), spec, procs.len());
-            builder.run_dfs(procs, |_| Ok(()), |_| Ok(())).unwrap()
-        };
-        let raw = run(false);
-        let folded = run(true);
-        assert!(
-            folded.states < raw.states,
-            "normalizer must merge scratch-only differences: {folded:?} vs {raw:?}"
-        );
-        assert_eq!(folded.terminals, 1, "both-done is a single folded terminal");
-    }
-
-    /// `record_edges: false` on the BFS (a combination neither progress
-    /// nor liveness uses): the node store, creator tree, and terminal
-    /// flags are still produced; only the edge lists stay empty.
-    #[test]
-    fn bfs_without_edge_recording_keeps_the_creator_tree() {
+    /// The POR-pruned transitions of the two-bumper liveness graph.
+    fn liveness_pruned(normalizer: Option<NormalizerFn<'_, Bumper>>) -> u64 {
         let (memory, procs) = bumper_system(1);
-        let mut builder = GraphBuilder::new(
-            memory,
-            ExploreConfig::default(),
-            spec(Order::Bfs, false),
-            procs.len(),
-        );
-        let (g, stats) = builder.build_graph(procs).unwrap();
-        assert_eq!(g.len(), stats.states);
-        assert_eq!(g.edges.total_edges(), 0);
-        assert_eq!(g.edges.nodes(), g.len(), "every node seals, even edgeless");
-        assert_eq!(
-            stats.footprint.edge_bytes,
-            (g.len() as u64 + 1) * 4,
-            "offsets only"
-        );
-        assert_eq!(g.first_pred[0], u32::MAX);
-        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
-            assert!((pred as usize) < id, "creator ids decrease toward the root");
-        }
-        assert!(g.terminal.iter().any(|t| *t));
-    }
-
-    /// The spec's crash budget overrides the config's, so a wrapper that
-    /// threads crashes separately cannot desynchronize the two.
-    #[test]
-    fn spec_crash_budget_overrides_config() {
-        let (memory, procs) = bumper_system(1);
-        let mut s = spec(Order::Bfs, true);
-        s.crash_budget = 1;
-        // Deliberately contradictory config: zero crashes.
-        let mut builder = GraphBuilder::new(
-            memory,
-            ExploreConfig::default().with_max_crashes(0),
-            s,
-            procs.len(),
-        );
-        let (g, _) = builder.build_graph(procs).unwrap();
-        assert_eq!(g.node(0).crashes_left, 1, "spec budget wins");
-        assert!(
-            (0..g.len()).flat_map(|v| g.edges.edges(v)).any(|e| e.crash),
-            "crash transitions must be explored"
-        );
+        let served = |_: &Bumper, _: &Bumper| false;
+        let config = ExploreConfig {
+            por: true,
+            ..ExploreConfig::default()
+        };
+        let property = GraphProperty::Liveness {
+            normalizer,
+            served: &served,
+        };
+        build(memory, procs, config, property).1.states_pruned_por
     }
 
     /// A normalizer force-disables partial-order reduction: the ample
@@ -1433,23 +1405,10 @@ mod tests {
                 p.scratch = 0;
             }
         };
-        let (memory, procs) = bumper_system(1);
-        let mut s = spec(Order::Bfs, true);
-        s.normalizer = Some(&normalizer);
-        let config = ExploreConfig {
-            por: true,
-            ..ExploreConfig::default()
-        };
-        let mut builder = GraphBuilder::new(memory, config, s, procs.len());
-        let (_, stats) = builder.build_graph(procs).unwrap();
-        assert_eq!(stats.states_pruned_por, 0, "POR must be suspended");
-
-        // Without the normalizer the same config does prune (the Halt
-        // steps at least are ample).
-        let (memory, procs) = bumper_system(1);
-        let mut builder = GraphBuilder::new(memory, config, spec(Order::Bfs, true), procs.len());
-        let (_, stats) = builder.build_graph(procs).unwrap();
-        assert!(stats.states_pruned_por > 0, "{stats:?}");
+        assert_eq!(liveness_pruned(Some(&normalizer)), 0, "POR must be suspended");
+        // Without the normalizer the same build does prune: each bumper
+        // touches only its own register, so its reads are ample.
+        assert!(liveness_pruned(None) > 0);
     }
 
     /// One-process systems degenerate cleanly: a single chain of states,
@@ -1458,30 +1417,26 @@ mod tests {
     fn single_process_graph_is_a_chain() {
         let (memory, mut procs) = bumper_system(1);
         procs.truncate(1);
-        let mut s = spec(Order::Bfs, true);
-        s.symmetry = SymmetryGroup::trivial(1);
-        let mut builder = GraphBuilder::new(memory, ExploreConfig::default(), s, 1);
-        let (g, stats) = builder.build_graph(procs).unwrap();
+        let (g, stats) = build(memory, procs, ExploreConfig::default(), GraphProperty::Progress);
         assert_eq!(stats.terminals, 1);
         assert!((0..g.len()).all(|v| g.edges.degree(v) <= 1));
         assert!((0..g.len()).flat_map(|v| g.edges.edges(v)).all(|e| !e.crash));
     }
 
     /// The memoized reversal equals a fresh nested-Vec reversal — same
-    /// predecessors, same per-node order — and the creator-first
-    /// invariant progress-schedule reconstruction depends on holds.
+    /// predecessors, same per-node order — and the creator-tree
+    /// invariants schedule re-derivation depends on hold: creators come
+    /// first among predecessors, and creator ids decrease toward the
+    /// root.
     #[test]
     fn memoized_reversal_preserves_creator_first_order() {
         let (memory, procs) = bumper_system(2);
-        let mut s = spec(Order::Bfs, true);
-        s.crash_budget = 1;
-        let mut builder = GraphBuilder::new(
-            memory,
-            ExploreConfig::default().with_max_crashes(1),
-            s,
-            procs.len(),
+        let config = ExploreConfig::default().with_max_crashes(1);
+        let (g, _) = build(memory, procs, config, GraphProperty::Progress);
+        assert!(
+            (0..g.len()).flat_map(|v| g.edges.edges(v)).any(|e| e.crash),
+            "crash transitions must be explored"
         );
-        let (g, _) = builder.build_graph(procs).unwrap();
         // Nested-Vec reference, the historical implementation.
         let mut reference: Vec<Vec<u32>> = vec![Vec::new(); g.len()];
         for v in 0..g.len() {
@@ -1497,7 +1452,31 @@ mod tests {
                 assert_eq!(rev.preds(v)[0], g.first_pred[v], "creator first");
             }
         }
+        assert_eq!(g.first_pred[0], u32::MAX);
+        for (id, &pred) in g.first_pred.iter().enumerate().skip(1) {
+            assert!((pred as usize) < id, "creator ids decrease toward the root");
+        }
         // Memoized: the second call returns the same allocation.
         assert!(std::ptr::eq(g.reversed(), rev));
+    }
+
+    /// Without symmetry every orbit is a single state, so the stem
+    /// re-derived to each node — crash edges included — reaches exactly
+    /// that node.
+    #[test]
+    fn derived_stems_reach_their_nodes() {
+        let (memory, procs) = bumper_system(1);
+        let config = ExploreConfig::default().with_max_crashes(1);
+        let mut builder = GraphBuilder::new(memory, config, SymmetryGroup::trivial(2), 2);
+        let (g, _) = builder
+            .build_graph(procs.clone(), GraphProperty::Progress)
+            .unwrap();
+        for id in 0..g.len() as u32 {
+            let (stem, end) = builder
+                .engine()
+                .derive_stem(&g, None, procs.clone(), id)
+                .unwrap();
+            assert_eq!(end, g.node(id), "node {id} via {stem:?}");
+        }
     }
 }

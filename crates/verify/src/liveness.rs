@@ -50,7 +50,8 @@
 //!   is only a *candidate*: each is concretized and validated, and if
 //!   none survives the victim is settled on an exact (trivial-group)
 //!   graph.
-//! * **Partial-order reduction** runs in [`AmpleMode::Liveness`]:
+//! * **Partial-order reduction** runs in
+//!   [`AmpleMode::Liveness`](crate::graph::AmpleMode::Liveness):
 //!   independence (C1) plus *strict* invisibility (C2 with no `Halt`
 //!   exemption — the fairness analysis reads statuses) plus the
 //!   cycle-closing condition (C3, the fresh-successor proviso), so every
@@ -87,6 +88,7 @@
 //! principle mislabel a serve) is re-derived on the exact trivial-group
 //! graph, whose labels are concrete.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -97,10 +99,8 @@ use cfc_naming::NamingAlgorithm;
 
 use crate::csr::EdgeArena;
 use crate::explore::{replay, ExploreConfig, ExploreError, ScheduleStep};
-use crate::graph::{
-    expand_step, AmpleMode, BuiltGraph, Engine, GEdge, GraphBuilder, Node, Order, TraversalSpec,
-};
-use crate::telemetry::{self, Phase, Sample, StoreFootprint};
+use crate::graph::{BuiltGraph, GEdge, GraphBuilder, GraphProperty, TraversalStats};
+use crate::telemetry::{self, Phase, Sample, StoreFootprint, Telemetry};
 
 /// A borrowed state normalizer (see [`cfc_mutex::StateNormalizer`] for
 /// the owned form and the behavioral contract).
@@ -291,21 +291,6 @@ impl LivenessStats {
         self.wall_ns = 0;
         self
     }
-
-    /// The final telemetry sample of a liveness check: the summed
-    /// counters, attributed to the `liveness-check` span.
-    fn final_sample(&self) -> Sample {
-        Sample {
-            states: self.states as u64,
-            transitions: self.transitions,
-            frontier: 0,
-            depth: 0,
-            states_pruned_por: self.states_pruned_por,
-            orbits_merged: self.orbits_merged,
-            transitions_slept: 0,
-            footprint: self.footprint,
-        }
-    }
 }
 
 /// The result of a liveness check: the verdict plus search statistics.
@@ -442,274 +427,250 @@ where
     let tel = telemetry::runtime(config.progress);
     let _tel_guard = telemetry::install(&tel);
     let check_span = tel.span(Phase::LivenessCheck);
-    let mut stats = LivenessStats::default();
-    let mut bypass: Option<u64> = Some(0);
-    let mut bypass_witness: Option<Box<BypassWitness>> = None;
-    // The exact trivial-group graph used to settle quotient artifacts is
-    // victim-independent, so it is built at most once per check.
-    let mut exact_cache: Option<(GraphBuilder<'_, P>, BuiltGraph<P>)> = None;
-    for (group, victims) in victim_sets {
-        let sym_quotient = config.symmetry && !group.is_trivial();
-        let (builder, graph) =
-            liveness_graph(&memory, &procs, group.clone(), config, spec, &mut stats)?;
-        for v in victims {
-            stats.victims += 1;
-            let scc_span = tel.span(Phase::SccAnalysis);
-            let candidates = find_fair_starvation(&graph, v, spec);
-            scc_span.finish(Sample {
-                states: graph.len() as u64,
-                ..Sample::default()
-            });
-            let mut confirmed = None;
-            if !candidates.is_empty() {
-                let witness_span = tel.span(Phase::WitnessValidation);
-                for scc in &candidates {
-                    let Some(witness) = extract_witness(
-                        builder.engine(),
-                        &graph,
-                        scc,
-                        v,
-                        spec,
-                        procs.clone(),
-                        group.order(),
-                    ) else {
-                        continue;
-                    };
-                    if validate_lasso(&memory, &procs, &witness, spec).is_ok() {
-                        confirmed = Some(witness);
-                        break;
-                    }
-                    debug_assert!(sym_quotient, "exact candidates must validate");
-                }
-                witness_span.finish(Sample {
-                    states: candidates.len() as u64,
-                    ..Sample::default()
-                });
-            }
-            if let Some(witness) = confirmed {
-                stats.wall_ns = check_span.finish(stats.final_sample());
-                return Ok(LivenessReport {
-                    verdict: LivenessVerdict::Starvable(Box::new(witness)),
-                    stats,
-                });
-            }
-            if !candidates.is_empty() && sym_quotient {
-                // Every candidate was a quotient artifact (slot-labeled
-                // fairness that no concrete loop realizes). Settle this
-                // victim exactly, on the graph of the trivial group,
-                // where labels are concrete and the fairness test is
-                // precise.
-                if exact_cache.is_none() {
-                    exact_cache =
-                        Some(exact_graph(&memory, &procs, config, spec, &mut stats)?);
-                }
-                let (exact_builder, exact) = exact_cache.as_ref().expect("just built");
-                let scc_span = tel.span(Phase::SccAnalysis);
-                let exact_candidates = find_fair_starvation(exact, v, spec);
-                scc_span.finish(Sample {
-                    states: exact.len() as u64,
-                    ..Sample::default()
-                });
-                if let Some(scc) = exact_candidates.first() {
-                    let witness_span = tel.span(Phase::WitnessValidation);
-                    let witness = extract_witness(
-                        exact_builder.engine(),
-                        exact,
-                        scc,
-                        v,
-                        spec,
-                        procs.clone(),
-                        1,
-                    )
-                    .expect("exact fair SCCs concretize");
-                    validate_lasso(&memory, &procs, &witness, spec)
-                        .expect("exact lassos validate against the un-reduced semantics");
-                    witness_span.finish(Sample {
-                        states: 1,
-                        ..Sample::default()
-                    });
-                    stats.wall_ns = check_span.finish(stats.final_sample());
-                    return Ok(LivenessReport {
-                        verdict: LivenessVerdict::Starvable(Box::new(witness)),
-                        stats,
-                    });
-                }
-                // Bypass for this victim, settled on the exact graph —
-                // its labels are concrete, so a derived witness always
-                // validates.
-                let Some(a) = bypass else { continue };
-                let (bound, plan) = measure_bypass(exact, v, spec);
-                match bound {
-                    None => {
-                        bypass = None;
-                        bypass_witness = None;
-                    }
-                    Some(b) => {
-                        if b > a || (b == a && bypass_witness.is_none()) {
-                            bypass_witness = plan.map(|plan| {
-                                let w = concretize_bypass(
-                                    exact_builder.engine(),
-                                    exact,
-                                    &plan,
-                                    v,
-                                    b,
-                                    spec,
-                                    &procs,
-                                );
-                                validate_bypass(&memory, &procs, &w, spec)
-                                    .expect("exact bypass witnesses validate");
-                                Box::new(w)
-                            });
-                        }
-                        bypass = Some(a.max(b));
-                    }
-                }
-                continue;
-            }
-            // Bypass for this victim on the (possibly quotient) graph.
-            let Some(a) = bypass else { continue };
-            let (bound, plan) = measure_bypass(&graph, v, spec);
-            match bound {
-                None => {
-                    bypass = None;
-                    bypass_witness = None;
-                }
-                Some(b) => {
-                    if b > a || (b == a && bypass_witness.is_none()) {
-                        bypass_witness = None;
-                        if let Some(plan) = plan {
-                            let w = concretize_bypass(
-                                builder.engine(),
-                                &graph,
-                                &plan,
-                                v,
-                                b,
-                                spec,
-                                &procs,
-                            );
-                            if validate_bypass(&memory, &procs, &w, spec).is_ok() {
-                                bypass_witness = Some(Box::new(w));
-                            } else {
-                                // The quotient's slot labels admitted a
-                                // path no concrete run realizes: settle
-                                // the witness on the exact graph (the
-                                // bound itself is quotient-invariant —
-                                // differential suites assert it). A
-                                // budget failure here only forfeits the
-                                // witness, never the verdict.
-                                debug_assert!(
-                                    sym_quotient,
-                                    "exact bypass witnesses validate"
-                                );
-                                if exact_cache.is_none() {
-                                    if let Ok(built) =
-                                        exact_graph(&memory, &procs, config, spec, &mut stats)
-                                    {
-                                        exact_cache = Some(built);
-                                    }
-                                }
-                                if let Some((exact_builder, exact)) = exact_cache.as_ref() {
-                                    let (ebound, eplan) = measure_bypass(exact, v, spec);
-                                    debug_assert_eq!(
-                                        ebound,
-                                        Some(b),
-                                        "quotient and exact bypass bounds agree"
-                                    );
-                                    if ebound == Some(b) {
-                                        if let Some(eplan) = eplan {
-                                            let w = concretize_bypass(
-                                                exact_builder.engine(),
-                                                exact,
-                                                &eplan,
-                                                v,
-                                                b,
-                                                spec,
-                                                &procs,
-                                            );
-                                            validate_bypass(&memory, &procs, &w, spec)
-                                                .expect("exact bypass witnesses validate");
-                                            bypass_witness = Some(Box::new(w));
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    bypass = Some(a.max(b));
-                }
+    let settler = Settler::new(&memory, &procs, config, spec, &tel);
+    let mut built = TraversalStats::default();
+    let (mut graphs, mut victims) = (0, 0);
+    let mut bypass = Bypass {
+        bound: Some(0),
+        witness: None,
+    };
+    let mut starved = None;
+    'sets: for (group, set) in victim_sets {
+        let g = settler.graph(group, config)?;
+        built.accumulate(&g.stats);
+        graphs += 1;
+        for v in set {
+            victims += 1;
+            starved = settler.settle(&g, v, &mut bypass)?;
+            if starved.is_some() {
+                break 'sets;
             }
         }
     }
-    stats.wall_ns = check_span.finish(stats.final_sample());
-    Ok(LivenessReport {
-        verdict: LivenessVerdict::StarvationFree {
-            bypass,
-            witness: bypass_witness,
+    if let Some(Ok(exact)) = settler.exact.get() {
+        built.accumulate(&exact.stats);
+        graphs += 1;
+    }
+    let stats = LivenessStats {
+        states: built.states,
+        transitions: built.transitions,
+        victims,
+        graphs,
+        states_pruned_por: built.states_pruned_por,
+        orbits_merged: built.orbits_merged,
+        footprint: built.footprint,
+        wall_ns: check_span.finish(built.sample(0, 0)),
+    };
+    let verdict = match starved {
+        Some(witness) => LivenessVerdict::Starvable(Box::new(witness)),
+        None => LivenessVerdict::StarvationFree {
+            bypass: bypass.bound,
+            witness: bypass.witness,
         },
-        stats,
-    })
+    };
+    Ok(LivenessReport { verdict, stats })
 }
 
-/// Builds one labeled liveness graph over the unified traversal driver:
-/// BFS order, recorded edges (service labels from the spec), the
-/// liveness-safe ample mode, and the spec's normalizer. Accumulates the
-/// traversal's counters into `stats`.
-fn liveness_graph<'s, P>(
-    memory: &Memory,
-    procs: &[P],
-    group: SymmetryGroup,
+/// The running bypass measurement of a check: the worst bound over the
+/// victims settled so far (`None` = unbounded) and a witness achieving
+/// it.
+struct Bypass {
+    bound: Option<u64>,
+    witness: Option<Box<BypassWitness>>,
+}
+
+/// One labeled liveness graph, with the builder whose engine re-derives
+/// witnesses against it.
+struct LiveGraph<P> {
+    builder: GraphBuilder<P>,
+    graph: BuiltGraph<P>,
+    stats: TraversalStats,
+    /// Whether the graph is a symmetry quotient: its edge labels are
+    /// canonical slots, so its fair SCCs and bypass paths are only
+    /// candidates until a concrete re-derivation validates.
+    quotient: bool,
+    /// The order of the group the graph is quotiented by (1 when exact).
+    group_order: u64,
+}
+
+/// Settles the victims of one liveness check on their graphs, falling
+/// back to the exact (trivial-group) graph when a quotient cannot.
+struct Settler<'c, 's, P> {
+    memory: &'c Memory,
+    procs: &'c [P],
     config: ExploreConfig,
-    spec: &LivenessSpec<'s, P>,
-    stats: &mut LivenessStats,
-) -> Result<(GraphBuilder<'s, P>, BuiltGraph<P>), ExploreError>
+    spec: &'c LivenessSpec<'s, P>,
+    tel: &'c Telemetry,
+    /// The exact graph — victim-independent, so built lazily, at most
+    /// once per check (a failed build is remembered too).
+    exact: OnceCell<Result<LiveGraph<P>, ExploreError>>,
+}
+
+impl<'c, 's, P> Settler<'c, 's, P>
 where
     P: Process + Clone + Eq + Hash,
 {
-    let traversal = TraversalSpec {
-        order: Order::Bfs,
-        record_edges: true,
-        ample_mode: AmpleMode::Liveness,
-        symmetry: group,
-        normalizer: spec.normalize,
-        served: Some(spec.served),
-        crash_budget: config.max_crashes,
-        phase: Phase::LivenessGraph,
-    };
-    let mut builder = GraphBuilder::new(memory.clone(), config, traversal, procs.len());
-    let (graph, t) = builder.build_graph(procs.to_vec())?;
-    stats.states += t.states;
-    stats.transitions += t.transitions;
-    stats.states_pruned_por += t.states_pruned_por;
-    stats.orbits_merged += t.orbits_merged;
-    stats.footprint.accumulate(&t.footprint);
-    stats.graphs += 1;
-    Ok((builder, graph))
-}
+    fn new(
+        memory: &'c Memory,
+        procs: &'c [P],
+        config: ExploreConfig,
+        spec: &'c LivenessSpec<'s, P>,
+        tel: &'c Telemetry,
+    ) -> Self {
+        Settler {
+            memory,
+            procs,
+            config,
+            spec,
+            tel,
+            exact: OnceCell::new(),
+        }
+    }
 
-/// The exact (trivial-group) liveness graph used to settle quotient
-/// artifacts and re-derive witnesses with concrete edge labels.
-fn exact_graph<'s, P>(
-    memory: &Memory,
-    procs: &[P],
-    config: ExploreConfig,
-    spec: &LivenessSpec<'s, P>,
-    stats: &mut LivenessStats,
-) -> Result<(GraphBuilder<'s, P>, BuiltGraph<P>), ExploreError>
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let exact_config = ExploreConfig {
-        symmetry: false,
-        ..config
-    };
-    liveness_graph(
-        memory,
-        procs,
-        SymmetryGroup::trivial(procs.len()),
-        exact_config,
-        spec,
-        stats,
-    )
+    /// Builds the liveness graph quotiented by `group`: recorded edges
+    /// with the spec's service labels, the liveness-safe ample mode, and
+    /// the spec's normalizer.
+    fn graph(
+        &self,
+        group: SymmetryGroup,
+        config: ExploreConfig,
+    ) -> Result<LiveGraph<P>, ExploreError> {
+        let quotient = config.symmetry && !group.is_trivial();
+        let group_order = group.order();
+        let mut builder = GraphBuilder::new(self.memory.clone(), config, group, self.procs.len());
+        let property = GraphProperty::Liveness {
+            normalizer: self.spec.normalize,
+            served: self.spec.served,
+        };
+        let (graph, stats) = builder.build_graph(self.procs.to_vec(), property)?;
+        Ok(LiveGraph {
+            builder,
+            graph,
+            stats,
+            quotient,
+            group_order,
+        })
+    }
+
+    /// The exact graph, whose edge labels are concrete.
+    fn exact(&self) -> Result<&LiveGraph<P>, ExploreError> {
+        self.exact
+            .get_or_init(|| {
+                let config = ExploreConfig {
+                    symmetry: false,
+                    ..self.config
+                };
+                self.graph(SymmetryGroup::trivial(self.procs.len()), config)
+            })
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// Settles `victim` on the exact graph.
+    fn settle_exact(
+        &self,
+        victim: usize,
+        bypass: &mut Bypass,
+    ) -> Result<Option<LassoWitness>, ExploreError> {
+        self.settle(self.exact()?, victim, bypass)
+    }
+
+    /// Settles `victim` on `g`: returns its validated starvation lasso,
+    /// or folds its bypass bound (and, when it sets a new worst, a
+    /// validated witness) into `bypass`.
+    ///
+    /// A quotient's fair SCCs are only candidates; if none of them
+    /// concretizes into a valid lasso, the victim is settled on the
+    /// exact graph instead, and a failure to build that graph
+    /// propagates — the verdict rests on it.
+    fn settle(
+        &self,
+        g: &LiveGraph<P>,
+        victim: usize,
+        bypass: &mut Bypass,
+    ) -> Result<Option<LassoWitness>, ExploreError> {
+        let scc_span = self.tel.span(Phase::SccAnalysis);
+        let candidates = find_fair_starvation(&g.graph, victim, self.spec);
+        scc_span.finish(Sample {
+            states: g.graph.len() as u64,
+            ..Sample::default()
+        });
+        if !candidates.is_empty() {
+            let witness_span = self.tel.span(Phase::WitnessValidation);
+            let mut confirmed = None;
+            for scc in &candidates {
+                let Some(witness) = extract_witness(g, scc, victim, self.spec, self.procs)? else {
+                    continue;
+                };
+                if validate_lasso(self.memory, self.procs, &witness, self.spec).is_ok() {
+                    confirmed = Some(witness);
+                    break;
+                }
+            }
+            witness_span.finish(Sample {
+                states: candidates.len() as u64,
+                ..Sample::default()
+            });
+            if confirmed.is_some() {
+                return Ok(confirmed);
+            }
+            // Every candidate was a quotient artifact (slot-labeled
+            // fairness that no concrete loop realizes).
+            assert!(g.quotient, "exact fair SCCs concretize into validated lassos");
+            return self.settle_exact(victim, bypass);
+        }
+        let Some(worst) = bypass.bound else {
+            return Ok(None);
+        };
+        let (bound, plan) = measure_bypass(&g.graph, victim, self.spec);
+        let Some(b) = bound else {
+            *bypass = Bypass {
+                bound: None,
+                witness: None,
+            };
+            return Ok(None);
+        };
+        if b > worst || (b == worst && bypass.witness.is_none()) {
+            bypass.witness = match plan {
+                Some(plan) => self.bypass_witness(g, &plan, victim, b)?.map(Box::new),
+                None => None,
+            };
+        }
+        bypass.bound = Some(worst.max(b));
+        Ok(None)
+    }
+
+    /// Concretizes `plan` into a bypass witness and validates it.
+    ///
+    /// A quotient's slot labels can admit a path no concrete run
+    /// realizes; such a witness is re-derived on the exact graph (the
+    /// bound itself is quotient-invariant — differential suites assert
+    /// it). A failure to build that graph forfeits only the witness,
+    /// never the verdict.
+    fn bypass_witness(
+        &self,
+        g: &LiveGraph<P>,
+        plan: &BypassPlan,
+        victim: usize,
+        bound: u64,
+    ) -> Result<Option<BypassWitness>, ExploreError> {
+        let witness = concretize_bypass(g, plan, victim, bound, self.spec, self.procs)?;
+        if validate_bypass(self.memory, self.procs, &witness, self.spec).is_ok() {
+            return Ok(Some(witness));
+        }
+        assert!(g.quotient, "exact bypass witnesses validate");
+        let Ok(exact) = self.exact() else {
+            return Ok(None);
+        };
+        let (exact_bound, exact_plan) = measure_bypass(&exact.graph, victim, self.spec);
+        debug_assert_eq!(exact_bound, Some(bound), "quotient and exact bypass bounds agree");
+        match exact_plan {
+            Some(plan) if exact_bound == Some(bound) => {
+                self.bypass_witness(exact, &plan, victim, bound)
+            }
+            _ => Ok(None),
+        }
+    }
 }
 
 /// Strongly connected components of the subgraph induced by `active`
@@ -969,49 +930,32 @@ where
 /// can in principle mislabel a serve, which is why the caller validates
 /// the witness and falls back to the exact graph on a mismatch).
 fn concretize_bypass<P>(
-    engine: &Engine<P>,
-    g: &BuiltGraph<P>,
+    g: &LiveGraph<P>,
     plan: &BypassPlan,
     victim: usize,
     bound: u64,
     spec: &LivenessSpec<'_, P>,
     procs: &[P],
-) -> BypassWitness
+) -> Result<BypassWitness, ExploreError>
 where
     P: Process + Clone + Eq + Hash,
 {
-    let normalize = |node: &mut Node<P>| {
-        if let Some(f) = spec.normalize {
-            f(&mut node.procs, &mut node.values);
-        }
-    };
-    let mut stem_ids = vec![plan.start];
-    while *stem_ids.last().expect("nonempty") != 0 {
-        let id = *stem_ids.last().expect("nonempty");
-        stem_ids.push(g.first_pred[id as usize]);
-    }
-    stem_ids.reverse();
-
-    let mut cur = engine.root(procs.to_vec());
-    normalize(&mut cur);
-    let mut stem = Vec::with_capacity(stem_ids.len() - 1);
-    for &id in &stem_ids[1..] {
-        let (step, next) = derive_step(engine, &cur, &g.node(id), None, spec);
-        stem.push(step);
-        cur = next;
-    }
+    let engine = g.builder.engine();
+    let (stem, cur) = engine.derive_stem(&g.graph, spec.normalize, procs.to_vec(), plan.start)?;
     let mut overtaking = Vec::with_capacity(plan.hops.len());
-    for &(target, hint) in &plan.hops {
-        let (step, next) = derive_step(engine, &cur, &g.node(target), Some(hint as usize), spec);
-        overtaking.push(step);
-        cur = next;
-    }
-    BypassWitness {
+    engine.derive_path(&g.graph, spec.normalize, cur, hinted(&plan.hops), &mut overtaking)?;
+    Ok(BypassWitness {
         victim: ProcessId::new(victim as u32),
         bypass: bound,
         stem,
         overtaking,
-    }
+    })
+}
+
+/// Graph hops `(target node, pid)` as re-derivation hops hinted by
+/// their pid.
+fn hinted(hops: &[(u32, u32)]) -> impl Iterator<Item = (u32, Option<usize>)> + '_ {
+    hops.iter().map(|&(target, pid)| (target, Some(pid as usize)))
 }
 
 /// Rebuilds a concrete, replayable lasso from a fair-candidate SCC of
@@ -1029,17 +973,16 @@ where
 /// repaired are rejected. Survivors are still re-checked by
 /// [`validate_lasso`] before being reported.
 fn extract_witness<P>(
-    engine: &Engine<P>,
-    g: &BuiltGraph<P>,
+    lg: &LiveGraph<P>,
     scc: &[u32],
     victim: usize,
     spec: &LivenessSpec<'_, P>,
-    procs: Vec<P>,
-    group_order: u64,
-) -> Option<LassoWitness>
+    procs: &[P],
+) -> Result<Option<LassoWitness>, ExploreError>
 where
     P: Process + Clone + Eq + Hash,
 {
+    let (engine, g) = (lg.builder.engine(), &lg.graph);
     let mut member = vec![false; g.len()];
     for &v in scc {
         member[v as usize] = true;
@@ -1067,47 +1010,22 @@ where
     hops.extend(path_in_scc(g, &member, cur, c0));
     assert!(!hops.is_empty(), "fair SCC yields a nonempty loop");
 
-    // Stem at the representative level, via the creator tree.
-    let mut stem_ids = vec![c0];
-    while *stem_ids.last().expect("nonempty") != 0 {
-        let id = *stem_ids.last().expect("nonempty");
-        stem_ids.push(g.first_pred[id as usize]);
-    }
-    stem_ids.reverse();
-
-    // Concrete stem.
-    let normalize = |node: &mut Node<P>| {
-        if let Some(f) = spec.normalize {
-            f(&mut node.procs, &mut node.values);
-        }
-    };
-    let mut cur_node = engine.root(procs);
-    normalize(&mut cur_node);
-    let mut stem = Vec::new();
-    for &id in &stem_ids[1..] {
-        let (step, next) = derive_step(engine, &cur_node, &g.node(id), None, spec);
-        stem.push(step);
-        cur_node = next;
-    }
+    // Concrete stem, via the creator tree.
+    let (mut stem, mut cur_node) = engine.derive_stem(g, spec.normalize, procs.to_vec(), c0)?;
 
     // Concrete laps, unrolled until a boundary state recurs.
     let mut boundaries = vec![cur_node.clone()];
     let mut laps: Vec<Vec<ScheduleStep>> = Vec::new();
     let prefix_laps = loop {
         let mut lap = Vec::with_capacity(hops.len());
-        for &(target, hint) in &hops {
-            let (step, next) =
-                derive_step(engine, &cur_node, &g.node(target), Some(hint as usize), spec);
-            lap.push(step);
-            cur_node = next;
-        }
+        cur_node = engine.derive_path(g, spec.normalize, cur_node, hinted(&hops), &mut lap)?;
         laps.push(lap);
         if let Some(j) = boundaries.iter().position(|b| *b == cur_node) {
             break j;
         }
-        if laps.len() as u64 > group_order {
+        if laps.len() as u64 > lg.group_order {
             debug_assert!(false, "lap boundaries must recur within the orbit");
-            return None;
+            return Ok(None);
         }
         boundaries.push(cur_node.clone());
     };
@@ -1132,15 +1050,12 @@ where
     let loop_entry = boundaries[prefix_laps].clone();
     let mut states = vec![loop_entry];
     let mut stepped = vec![false; states[0].status.len()];
-    for s in &cycle {
+    for &s in &cycle {
         let ScheduleStep::Step(pid) = s else {
             unreachable!("loops contain no crash edges")
         };
         stepped[pid.index()] = true;
-        let mut next =
-            expand_step(states.last().expect("nonempty"), pid.index(), engine.template())
-                .expect("witness steps replay the explored semantics");
-        normalize(&mut next);
+        let next = engine.successor(states.last().expect("nonempty"), s, spec.normalize)?;
         states.push(next);
     }
     let mut repairs: Vec<(usize, ScheduleStep)> = Vec::new();
@@ -1148,14 +1063,18 @@ where
         if stepped[q] {
             continue;
         }
+        let spin = ScheduleStep::Step(ProcessId::new(q as u32));
+        let repair = states.iter().position(|s| {
+            engine
+                .successor(s, spin, spec.normalize)
+                .is_ok_and(|succ| succ == *s)
+        });
         // No in-place spin to insert: the candidate has no concrete
         // weakly fair realization through this loop.
-        let repair = states.iter().enumerate().find_map(|(k, s)| {
-            let mut succ = expand_step(s, q, engine.template()).ok()?;
-            normalize(&mut succ);
-            (succ == *s).then_some((k, ScheduleStep::Step(ProcessId::new(q as u32))))
-        })?;
-        repairs.push(repair);
+        let Some(at) = repair else {
+            return Ok(None);
+        };
+        repairs.push((at, spin));
     }
     // Positions were computed against the pristine loop, so apply the
     // insertions back to front to keep them aligned.
@@ -1164,7 +1083,7 @@ where
         cycle.insert(at, spin);
     }
 
-    Some(LassoWitness {
+    Ok(Some(LassoWitness {
         victim: ProcessId::new(victim as u32),
         message: format!(
             "weak fairness does not save process {victim}: it stays pending around a \
@@ -1172,7 +1091,7 @@ where
             cycle.len()
         ),
         lasso: Lasso { stem, cycle },
-    })
+    }))
 }
 
 /// BFS path between two nodes inside an SCC, as (target, pid hint) hops.
@@ -1203,49 +1122,6 @@ fn path_in_scc<P>(g: &BuiltGraph<P>, member: &[bool], from: u32, to: u32) -> Vec
         }
     }
     unreachable!("SCC members are mutually reachable")
-}
-
-/// Finds a concrete step (or crash) from `cur` whose normalized
-/// successor falls into the orbit of `target`, preferring the hinted
-/// process.
-fn derive_step<P>(
-    engine: &Engine<P>,
-    cur: &Node<P>,
-    target: &Node<P>,
-    hint: Option<usize>,
-    spec: &LivenessSpec<'_, P>,
-) -> (ScheduleStep, Node<P>)
-where
-    P: Process + Clone + Eq + Hash,
-{
-    let n = cur.status.len();
-    let order: Vec<usize> = hint
-        .into_iter()
-        .chain((0..n).filter(|&i| Some(i) != hint))
-        .filter(|&i| cur.status[i].runnable())
-        .collect();
-    for i in order {
-        let mut succ = expand_step(cur, i, engine.template())
-            .expect("witness steps replay the explored semantics");
-        if let Some(f) = spec.normalize {
-            f(&mut succ.procs, &mut succ.values);
-        }
-        if engine.matches_canonical(&succ, target) {
-            return (ScheduleStep::Step(ProcessId::new(i as u32)), succ);
-        }
-        if cur.crashes_left > 0 {
-            let mut crashed = cur.clone();
-            crashed.status[i] = Status::Crashed;
-            crashed.crashes_left -= 1;
-            if let Some(f) = spec.normalize {
-                f(&mut crashed.procs, &mut crashed.values);
-            }
-            if engine.matches_canonical(&crashed, target) {
-                return (ScheduleStep::Crash(ProcessId::new(i as u32)), crashed);
-            }
-        }
-    }
-    unreachable!("every edge of the canonical quotient has a concrete witness")
 }
 
 /// Validates a starvation witness against the plain, un-reduced step
@@ -1694,6 +1570,82 @@ mod tests {
             .cycle
             .retain(|s| matches!(s, ScheduleStep::Step(p) if *p != v));
         assert!(validate_lasso(&alg.memory().unwrap(), &clients, &unfair, &spec).is_err());
+    }
+
+    /// Settles every victim directly on the exact graph — the routine
+    /// quotient checks fall back to, which no quotient in the suites
+    /// ever needs — and holds it to `check_liveness` under full
+    /// reduction: the same verdict and bypass bound, and every witness
+    /// validated against the un-reduced semantics.
+    fn assert_exact_settle_agrees<P>(
+        memory: Memory,
+        procs: Vec<P>,
+        symmetry: &SymmetryGroup,
+        spec: &LivenessSpec<'_, P>,
+    ) where
+        P: Process + Clone + Eq + Hash,
+    {
+        let config = ExploreConfig::reduced();
+        let report =
+            check_liveness(memory.clone(), procs.clone(), symmetry, config, spec).unwrap();
+        let tel = telemetry::runtime(false);
+        let settler = Settler::new(&memory, &procs, config, spec, &tel);
+        let mut bypass = Bypass {
+            bound: Some(0),
+            witness: None,
+        };
+        let starved = (0..procs.len())
+            .find_map(|v| settler.settle_exact(v, &mut bypass).unwrap());
+        match (report.verdict, starved) {
+            (LivenessVerdict::Starvable(_), Some(lasso)) => {
+                validate_lasso(&memory, &procs, &lasso, spec).unwrap();
+            }
+            (LivenessVerdict::StarvationFree { bypass: bound, witness }, None) => {
+                assert_eq!(bypass.bound, bound);
+                assert_eq!(bypass.witness.is_some(), witness.is_some());
+                if let Some(witness) = &bypass.witness {
+                    assert_eq!(Some(witness.bypass), bound);
+                    validate_bypass(&memory, &procs, witness, spec).unwrap();
+                }
+            }
+            (verdict, exact) => panic!("verdicts disagree: {verdict:?} vs exact {exact:?}"),
+        }
+    }
+
+    fn assert_exact_settle_agrees_on_mutex<A>(alg: &A)
+    where
+        A: MutexAlgorithm,
+        A::Lock: Clone + Eq + Hash + 'static,
+    {
+        let clients: Vec<_> = (0..alg.n() as u32)
+            .map(|i| alg.client_cycling(ProcessId::new(i), 1))
+            .collect();
+        let normalizer = alg.liveness_normalizer();
+        let spec = mutex_spec(
+            normalizer
+                .as_deref()
+                .map(|f| f as &dyn Fn(&mut [MutexClient<A::Lock>], &mut [Value])),
+        );
+        assert_exact_settle_agrees(alg.memory().unwrap(), clients, &alg.symmetry(), &spec);
+    }
+
+    #[test]
+    fn exact_settle_agrees_with_the_checker() {
+        assert_exact_settle_agrees_on_mutex(&TasSpin::new(2));
+        assert_exact_settle_agrees_on_mutex(&PetersonTwo::new());
+        let bakery = Bakery::new(2);
+        assert!(bakery.liveness_normalizer().is_some());
+        assert_exact_settle_agrees_on_mutex(&bakery);
+        type Walker = <TafTree as NamingAlgorithm>::Proc;
+        let tree = TafTree::new(4).unwrap();
+        let spec = LivenessSpec {
+            pending: &|p: &Walker| p.output().is_none(),
+            engaged: &|p: &Walker| p.output().is_none(),
+            served: &|b: &Walker, a: &Walker| b.output().is_none() && a.output().is_some(),
+            normalize: None,
+        };
+        let (memory, walkers) = (tree.memory().unwrap(), tree.processes());
+        assert_exact_settle_agrees(memory, walkers, &tree.symmetry(), &spec);
     }
 
     #[test]
